@@ -11,7 +11,7 @@ integers, and buckets sporadic solutions for auditing.
 __version__ = "0.1.0"
 
 from .arith import (
-    ArithTable,
+    Kind,
     build_table,
     factorize,
     is_prime,
@@ -36,7 +36,6 @@ from .audit import (
 from .equations import (
     Classification,
     EquationSpec,
-    Kind,
     SolutionRecord,
     count_raw,
     count_sporadic,
@@ -68,7 +67,6 @@ from .smoothness import (
 )
 
 __all__ = [
-    "ArithTable",
     "AuditParams",
     "Bucket",
     "BucketVerdict",

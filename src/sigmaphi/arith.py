@@ -1,4 +1,4 @@
-"""Exact arithmetic kernel: primality, factorization, and sigma/phi/spf sieves.
+"""Exact arithmetic kernel: primality, factorization, and sigma or phi sieves.
 
 Scalar operations accept any positive integer below 2**63 and are exact
 (Python integers throughout).  Bulk operations are numpy-backed segmented
@@ -8,7 +8,7 @@ below 2**64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import enum
 from math import isqrt
 
 import numpy as np
@@ -117,6 +117,14 @@ def phi(n: int) -> int:
     return total
 
 
+class Kind(enum.Enum):
+    SIGMA = "sigma"
+    PHI = "phi"
+
+    def evaluate(self, n: int) -> int:
+        return sigma(n) if self is Kind.SIGMA else phi(n)
+
+
 def largest_prime_factor(n: int) -> int:
     """Largest prime dividing n, with the value 1 at n = 1."""
     fac = factorize(n)
@@ -150,83 +158,41 @@ def primes_upto(limit: int) -> list[int]:
     return [int(p) for p in _simple_primes(limit)]
 
 
-@dataclass(frozen=True)
-class ArithTable:
-    """Densely sieved sigma, phi, and smallest-prime-factor values on [lo, hi].
+def _sieve_segment(lo: int, primes: np.ndarray, kind: Kind, out: np.ndarray) -> None:
+    """Write f(n) for n in [lo, lo + out.size - 1] into out, f chosen by kind.
 
-    Arrays are indexed by n - lo.  spf(1) is defined as 1; spf(n) for n >= 2
-    is the smallest prime dividing n, so spf(n) == n exactly for primes.
+    Every prime power p**e <= hi that divides n is visited through a strided
+    view; the cofactor left after them is 1 or a single prime > sqrt(hi).
     """
-
-    lo: int
-    hi: int
-    sigma: np.ndarray
-    phi: np.ndarray
-    spf: np.ndarray
-
-    def _index(self, n: int) -> int:
-        if not self.lo <= n <= self.hi:
-            raise UsageError(f"n={n} outside table range [{self.lo}, {self.hi}]")
-        return n - self.lo
-
-    def sigma_at(self, n: int) -> int:
-        return int(self.sigma[self._index(n)])
-
-    def phi_at(self, n: int) -> int:
-        return int(self.phi[self._index(n)])
-
-    def spf_at(self, n: int) -> int:
-        return int(self.spf[self._index(n)])
-
-
-def _sieve_segment(lo: int, hi: int, primes: np.ndarray):
-    """Sieve one segment [lo, hi]; returns (sigma, phi, spf) uint64 arrays."""
-    size = hi - lo + 1
-    sig = np.ones(size, dtype=np.uint64)
-    tot = np.ones(size, dtype=np.uint64)
-    spf = np.zeros(size, dtype=np.uint64)
-    rem = np.arange(lo, hi + 1, dtype=np.uint64)
-    one = np.uint64(1)
-    for p in primes:
-        p = int(p)
-        if p * p > hi:
-            break
-        start = (-lo) % p
-        if start >= size:
-            continue
-        pu = np.uint64(p)
-        idx = np.arange(start, size, p, dtype=np.intp)
-        hit = spf[idx]
-        spf[idx] = np.where(hit == 0, pu, hit)
-        rem[idx] //= pu
-        tot[idx] *= pu - one
-        # term accumulates 1 + p + ... + p**e per entry as powers divide out
-        term = np.full(idx.size, p + 1, dtype=np.uint64)
-        alive = idx
-        pos = np.arange(idx.size, dtype=np.intp)
-        while alive.size:
-            more = (rem[alive] % pu) == 0
-            if not more.any():
-                break
-            alive = alive[more]
-            pos = pos[more]
-            rem[alive] //= pu
-            tot[alive] *= pu
-            term[pos] = term[pos] * pu + one
-        sig[idx] *= term
-    # leftover cofactors are single primes > sqrt(hi)
-    big = rem > one
-    bv = rem[big]
-    sig[big] *= bv + one
-    tot[big] *= bv - one
-    hit = spf[big]
-    spf[big] = np.where(hit == 0, bv, hit)
-    spf[spf == 0] = one  # only n = 1 remains unset
-    return sig, tot, spf
+    size = out.size
+    hi = lo + size - 1
+    primes = primes[: np.searchsorted(primes, isqrt(hi), side="right")]
+    starts = (-lo) % primes
+    hit = starts < size
+    out[:] = 1
+    factored = np.ones(size, dtype=np.uint64)  # product of the p**e found so far
+    for p, start in zip(primes[hit].tolist(), starts[hit].tolist()):
+        # power[j] is the p**e exactly dividing the j-th multiple of p, n = lo + start + j*p
+        power = np.full(len(range(start, size, p)), p, dtype=np.uint64)
+        pe = p * p
+        while pe <= hi and (first := (-lo) % pe) < size:
+            power[(first - start) // p :: pe // p] *= p
+            pe *= p
+        factored[start::p] *= power
+        if kind is Kind.SIGMA:
+            # 1 + p + ... + p**e, without forming p**(e+1), which can pass 2**64
+            out[start::p] *= power + (power - 1) // (p - 1)
+        else:
+            out[start::p] *= power - power // p
+    cofactor = np.arange(lo, hi + 1, dtype=np.uint64) // factored
+    big = cofactor > 1  # sigma(q) = q + 1 and phi(q) = q - 1 for the prime cofactor q
+    out *= cofactor + big if kind is Kind.SIGMA else cofactor - big
 
 
-def build_table(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT) -> ArithTable:
-    """Sieve sigma/phi/spf for every n in [lo, hi].
+def build_table(
+    lo: int, hi: int, kind: Kind, segment_size: int = DEFAULT_SEGMENT
+) -> np.ndarray:
+    """uint64 array of f(n) for every n in [lo, hi], indexed by n - lo; f is sigma or phi.
 
     Memory is O(hi - lo) for the output plus O(sqrt(hi)) for base primes;
     construction walks the range in segments of `segment_size` entries.
@@ -237,18 +203,13 @@ def build_table(lo: int, hi: int, segment_size: int = DEFAULT_SEGMENT) -> ArithT
         raise CapacityError(f"hi must be < 2**48, got {hi}")
     if segment_size < 1:
         raise UsageError("segment_size must be >= 1")
+    if not isinstance(kind, Kind):
+        raise UsageError(f"kind must be Kind.SIGMA or Kind.PHI, got {kind!r}")
     primes = _simple_primes(isqrt(hi))
-    parts = []
-    for start in range(lo, hi + 1, segment_size):
-        end = min(hi, start + segment_size - 1)
-        parts.append(_sieve_segment(start, end, primes))
-    return ArithTable(
-        lo,
-        hi,
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-        np.concatenate([p[2] for p in parts]),
-    )
+    out = np.empty(hi - lo + 1, dtype=np.uint64)
+    for i in range(0, out.size, segment_size):
+        _sieve_segment(lo + i, primes, kind, out[i : i + segment_size])
+    return out
 
 
 def largest_factor_table(limit: int) -> np.ndarray:

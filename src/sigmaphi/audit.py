@@ -52,7 +52,9 @@ def _finish(x: int, y: float, z: float, overridden: bool) -> AuditParams:
 def default_params(x: int) -> AuditParams:
     """Parameters y = exp(sqrt(2 log x log log log x)), z = sqrt(y), and friends."""
     if x < 16:
-        raise DomainError(f"x must be >= 16 so log(log(log(x))) is positive, got {x}")
+        raise DomainError(
+            f"out of asymptotic domain: x must be >= 16 so log(log(log(x))) > 0, got {x}"
+        )
     lx = math.log(x)
     lllx = math.log(math.log(lx))
     y = math.exp(math.sqrt(2.0 * lx * lllx))
@@ -107,7 +109,7 @@ def _decompose(spec: EquationSpec, arg1: int, arg2: int, p: int) -> Decompositio
             )
         pairs.append((arg // q, (q + shift) // p))
     (m1, k1), (m2, k2) = pairs
-    if spec.evaluate(m1) * k1 != spec.evaluate(m2) * k2:
+    if spec.kind.evaluate(m1) * k1 != spec.kind.evaluate(m2) * k2:
         raise IntegrityError(f"decomposition of n with p={p} violates f(m1)*k1 == f(m2)*k2")
     return Decomposition(p, m1, k1, m2, k2)
 
@@ -120,8 +122,8 @@ def assign_bucket(spec: EquationSpec, n: int, params: AuditParams) -> BucketVerd
     arg1, arg2 = spec.arguments(n)
     if n < 1 or arg1 < 1 or arg2 < 1:
         raise UsageError(f"n={n} is not a valid solution")
-    value = spec.evaluate(arg1)
-    if value != spec.evaluate(arg2):
+    value = spec.kind.evaluate(arg1)
+    if value != spec.kind.evaluate(arg2):
         raise UsageError(f"n={n} is not a solution of the equation")
     if smoothness.is_in_S(arg1, params.y) or smoothness.is_in_S(arg2, params.y):
         return BucketVerdict(Bucket.B1, None)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 
@@ -117,8 +116,6 @@ def _cmd_multiperfect(args):
 
 
 def _cmd_bounds(args):
-    if args.x <= math.exp(math.e):
-        raise DomainError(f"out of asymptotic domain: x={args.x} <= e**e")
     params = default_params(args.x)
     return ["y", "z", "u", "bound_main"], [[params.y, params.z, params.u, bound_main(args.x)]]
 

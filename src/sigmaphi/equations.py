@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -10,15 +11,8 @@ from functools import partial
 import numpy as np
 
 from . import arith
+from .arith import Kind
 from .errors import CapacityError, UsageError
-
-
-class Kind(enum.Enum):
-    SIGMA = "sigma"
-    PHI = "phi"
-
-    def evaluate(self, n: int) -> int:
-        return arith.sigma(n) if self is Kind.SIGMA else arith.phi(n)
 
 
 class Classification(enum.Enum):
@@ -50,9 +44,6 @@ class EquationSpec:
     def arguments(self, n: int) -> tuple[int, int]:
         return self.a1 * n + self.b1, self.a2 * n + self.b2
 
-    def evaluate(self, m: int) -> int:
-        return self.kind.evaluate(m)
-
 
 @dataclass(frozen=True)
 class SolutionRecord:
@@ -71,13 +62,39 @@ def _first_valid_n(spec: EquationSpec) -> int:
     return lo
 
 
+def _map_blocks(
+    scan: Callable[[tuple[int, int]], Sequence],
+    lo: int,
+    hi: int,
+    step: int,
+    threads: int,
+    block_size: int | None = None,
+) -> list:
+    """Results of scan on each block of [lo, hi], concatenated in block order.
+
+    Blocks span block_size integers (step when None).  With threads > 1 they
+    are scanned concurrently, and the result is the same for any thread count.
+    """
+    if threads < 1:
+        raise UsageError("threads must be >= 1")
+    if block_size is not None and block_size < 1:
+        raise UsageError("block_size must be >= 1")
+    step = block_size or step
+    blocks = [(u, min(hi, u + step - 1)) for u in range(lo, hi + 1, step)]
+    if threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(scan, blocks))
+    else:
+        parts = map(scan, blocks)
+    return [item for part in parts for item in part]
+
+
 def _scan_block(spec: EquationSpec, block: tuple[int, int]) -> list[SolutionRecord]:
     u, v = block
-    strided = []
-    for a, b in ((spec.a1, spec.b1), (spec.a2, spec.b2)):
-        table = arith.build_table(a * u + b, a * v + b)
-        arr = table.sigma if spec.kind is Kind.SIGMA else table.phi
-        strided.append(arr[::a])
+    strided = [
+        arith.build_table(a * u + b, a * v + b, spec.kind)[::a]
+        for a, b in ((spec.a1, spec.b1), (spec.a2, spec.b2))
+    ]
     hits = np.nonzero(strided[0] == strided[1])[0]
     out = []
     for i in hits:
@@ -98,25 +115,13 @@ def search(
     """
     if xmax < 1:
         raise UsageError(f"xmax must be >= 1, got {xmax}")
-    if threads < 1:
-        raise UsageError("threads must be >= 1")
-    if block_size is not None and block_size < 1:
-        raise UsageError("block_size must be >= 1")
     for a, b in ((spec.a1, spec.b1), (spec.a2, spec.b2)):
         if a * xmax + b >= arith.TABLE_LIMIT:
             raise CapacityError(f"argument {a}*{xmax}{b:+d} exceeds table capacity")
-    start = _first_valid_n(spec)
-    if start > xmax:
-        return []
-    step = block_size or max(1, arith.DEFAULT_SEGMENT // max(spec.a1, spec.a2))
-    blocks = [(u, min(xmax, u + step - 1)) for u in range(start, xmax + 1, step)]
-    scan = partial(_scan_block, spec)
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(scan, blocks))
-    else:
-        parts = [scan(block) for block in blocks]
-    return [rec for part in parts for rec in part]
+    step = max(1, arith.DEFAULT_SEGMENT // max(spec.a1, spec.a2))
+    return _map_blocks(
+        partial(_scan_block, spec), _first_valid_n(spec), xmax, step, threads, block_size
+    )
 
 
 def count_raw(spec: EquationSpec, xmax: int, threads: int = 1) -> int:

@@ -16,14 +16,13 @@ equation, because f(m_i*q_i) = f(m_i)*k_i*l on both sides.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
 
 from . import arith
-from .equations import EquationSpec, Kind
+from .equations import EquationSpec, Kind, _map_blocks
 from .errors import CapacityError, IntegrityError, UsageError
 
 
@@ -53,7 +52,7 @@ def _family_if_valid(spec: EquationSpec, k1: int, k2: int) -> Family | None:
     m2, r2 = divmod(k1 * spec.det, spec.a1 * den)
     if r1 or r2 or m1 < 1 or m2 < 1:
         return None
-    if k1 * spec.evaluate(m1) != k2 * spec.evaluate(m2):
+    if k1 * spec.kind.evaluate(m1) != k2 * spec.kind.evaluate(m2):
         return None
     return Family(spec, k1, k2, m1, m2)
 
@@ -88,8 +87,6 @@ def enumerate_families(spec: EquationSpec, kmax: int, threads: int = 1) -> list[
     """
     if kmax < 2:
         raise UsageError(f"kmax must be >= 2, got {kmax}")
-    if threads < 1:
-        raise UsageError("threads must be >= 1")
     gaps = _divisors(abs(spec.det))
 
     def scan(bounds: tuple[int, int]) -> list[Family]:
@@ -105,14 +102,8 @@ def enumerate_families(spec: EquationSpec, kmax: int, threads: int = 1) -> list[
                         found.append(fam)
         return found
 
-    if threads > 1 and kmax > threads:
-        step = -(kmax // -threads)
-        chunks = [(lo, min(kmax, lo + step - 1)) for lo in range(1, kmax + 1, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(scan, chunks))
-        families = [fam for part in parts for fam in part]
-    else:
-        families = scan((1, kmax))
+    step = -(kmax // -max(threads, 1))  # threads < 1 is refused by _map_blocks
+    families = _map_blocks(scan, 1, kmax, step, threads)
     families.sort(key=lambda f: (f.k1, f.k2))
     return families
 
@@ -157,7 +148,7 @@ def verify_witness(w: Witness) -> bool:
         return False
     if arg1 != w.family.m1 * w.q1 or arg2 != w.family.m2 * w.q2:
         return False
-    return spec.evaluate(arg1) == spec.evaluate(arg2)
+    return spec.kind.evaluate(arg1) == spec.kind.evaluate(arg2)
 
 
 def classify(spec: EquationSpec, n: int) -> Witness | None:
@@ -178,16 +169,16 @@ def classify(spec: EquationSpec, n: int) -> Witness | None:
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
     arg1, arg2 = spec.arguments(n)
-    if arg1 < 1 or arg2 < 1 or spec.evaluate(arg1) != spec.evaluate(arg2):
+    if arg1 < 1 or arg2 < 1 or spec.kind.evaluate(arg1) != spec.kind.evaluate(arg2):
         raise UsageError(f"n={n} is not a solution of the equation")
     shift = 1 if spec.kind is Kind.SIGMA else -1
     q1s = [p for p, e in arith.factorize(arg1) if e == 1]
     q2s = [p for p, e in arith.factorize(arg2) if e == 1]
-    fm2s = [spec.evaluate(arg2 // q) for q in q2s]
+    fm2s = [spec.kind.evaluate(arg2 // q) for q in q2s]
     for q1 in q1s:
         m1 = arg1 // q1
         t1 = q1 + shift
-        fm1 = spec.evaluate(m1)
+        fm1 = spec.kind.evaluate(m1)
         for q2, fm2 in zip(q2s, fm2s):
             m2 = arg2 // q2
             t2 = q2 + shift
@@ -238,26 +229,15 @@ def consecutive_multiperfect_search(
     """All m <= xmax with m | sigma(m) and (m+1) | sigma(m+1), ascending."""
     if xmax < 1:
         raise UsageError(f"xmax must be >= 1, got {xmax}")
-    if threads < 1:
-        raise UsageError("threads must be >= 1")
-    if block_size is not None and block_size < 1:
-        raise UsageError("block_size must be >= 1")
     if xmax + 1 >= arith.TABLE_LIMIT:
         raise CapacityError(f"xmax must be < 2**48 - 1, got {xmax}")
 
     def scan(block: tuple[int, int]) -> list[int]:
         lo, hi = block
-        table = arith.build_table(lo, hi + 1)  # one past hi for the m+1 check
+        values = arith.build_table(lo, hi + 1, Kind.SIGMA)  # one past hi for the m+1 check
         ns = np.arange(lo, hi + 2, dtype=np.uint64)
-        divisible = table.sigma % ns == 0
+        divisible = values % ns == 0
         both = divisible[:-1] & divisible[1:]
         return [lo + int(i) for i in np.nonzero(both)[0]]
 
-    step = block_size or arith.DEFAULT_SEGMENT
-    blocks = [(lo, min(xmax, lo + step - 1)) for lo in range(1, xmax + 1, step)]
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(scan, blocks))
-    else:
-        parts = [scan(block) for block in blocks]
-    return [m for part in parts for m in part]
+    return _map_blocks(scan, 1, xmax, arith.DEFAULT_SEGMENT, threads, block_size)

@@ -66,7 +66,7 @@ def count_S(x: int, y) -> int:
 def phi_smooth_count(x: int, y: int) -> int:
     """Count of n <= x whose totient has no prime factor > y."""
     _check_xy(x, y)
-    values = arith.build_table(1, x).phi
+    values = arith.build_table(1, x, arith.Kind.PHI)
     lpf = arith.largest_factor_table(int(values.max()))
     return int(np.count_nonzero(lpf[values.astype(np.int64)] <= y))
 
@@ -74,7 +74,7 @@ def phi_smooth_count(x: int, y: int) -> int:
 def sigma_smooth_count(x: int, y: int) -> int:
     """Count of n <= x whose divisor sum has no prime factor > y."""
     _check_xy(x, y)
-    values = arith.build_table(1, x).sigma
+    values = arith.build_table(1, x, arith.Kind.SIGMA)
     lpf = arith.largest_factor_table(int(values.max()))
     return int(np.count_nonzero(lpf[values.astype(np.int64)] <= y))
 

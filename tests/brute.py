@@ -54,11 +54,6 @@ def largest_prime_factor(n: int) -> int:
     return fac[-1][0] if fac else 1
 
 
-def smallest_prime_factor(n: int) -> int:
-    fac = factorize(n)
-    return fac[0][0] if fac else 1
-
-
 def radical(n: int) -> int:
     r = 1
     for p, _ in factorize(n):

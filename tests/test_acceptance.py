@@ -120,16 +120,17 @@ def test_criterion_5_smooth_count_oracles():
     # every counter value for x <= 2000, y <= x is a prefix count of these,
     # so pointwise equality here settles the whole grid
     lpf = arith.largest_factor_table(limit)
-    table = arith.build_table(1, limit)
-    value_lpf = arith.largest_factor_table(int(table.sigma.max()))
+    sig = arith.build_table(1, limit, Kind.SIGMA)
+    tot = arith.build_table(1, limit, Kind.PHI)
+    value_lpf = arith.largest_factor_table(int(sig.max()))
     for n in range(1, limit + 1):
         assert int(lpf[n]) == brute.largest_prime_factor(n)
         s_thr = max((p**e for p, e in arith.factorize(n) if e >= 2), default=0)
         assert s_thr == brute.s_threshold(n)
-        assert int(value_lpf[table.phi_at(n)]) == brute.largest_prime_factor(
+        assert int(value_lpf[tot[n - 1]]) == brute.largest_prime_factor(
             brute.phi_formula(n)
         )
-        assert int(value_lpf[table.sigma_at(n)]) == brute.largest_prime_factor(
+        assert int(value_lpf[sig[n - 1]]) == brute.largest_prime_factor(
             brute.sigma(n)
         )
 
@@ -169,13 +170,11 @@ def test_criterion_6_consecutive_multiperfect():
     # reduction for the shift-1 sigma equation: a family from a coprime pair
     # exists iff the pair is (k, k+1) with both k | sigma(k) and
     # (k+1) | sigma(k+1); exhausted for k <= 10^4 (both sides always false)
-    table = arith.build_table(1, 10_001)
+    sig = arith.build_table(1, 10_001, Kind.SIGMA)
     hits = 0
     for k in range(1, 10_001):
         fam = derive_family(SIGMA_PLUS_1, k, k + 1)
-        both_multiperfect = (
-            table.sigma_at(k) % k == 0 and table.sigma_at(k + 1) % (k + 1) == 0
-        )
+        both_multiperfect = sig[k - 1] % k == 0 and sig[k] % (k + 1) == 0
         assert (fam is not None) == both_multiperfect
         if fam is not None:
             assert (fam.m1, fam.m2) == (k + 1, k)

@@ -1,9 +1,12 @@
+from math import prod
+
 import numpy as np
 import pytest
 
 import brute
 from sigmaphi import (
     CapacityError,
+    Kind,
     UsageError,
     build_table,
     factorize,
@@ -100,9 +103,9 @@ def test_totient_divisor_sum_identity():
 
 
 def test_prime_value_boundaries():
-    table = build_table(2, 10_000)
-    for n in range(2, 10_001):
-        s, t = table.sigma_at(n), table.phi_at(n)
+    sig = build_table(2, 10_000, Kind.SIGMA)
+    tot = build_table(2, 10_000, Kind.PHI)
+    for n, s, t in zip(range(2, 10_001), sig.tolist(), tot.tolist()):
         prime = is_prime(n)
         assert s >= n + 1
         assert (s == n + 1) is prime
@@ -111,45 +114,49 @@ def test_prime_value_boundaries():
 
 
 def test_build_table_spot_values():
-    table = build_table(1, 10)
-    assert table.sigma_at(6) == 12
-    assert table.phi_at(1) == 1
-    assert table.spf_at(9) == 3
+    sig = build_table(1, 10, Kind.SIGMA)
+    assert sig.dtype == np.uint64 and sig.size == 10
+    assert sig[6 - 1] == 12
+    assert sig[9 - 1] == 13
+    assert build_table(1, 10, Kind.PHI)[0] == 1
 
 
 def test_build_table_matches_scalars():
     for lo, hi in ((1, 2000), (10**6 - 500, 10**6 + 500)):
-        table = build_table(lo, hi)
-        for n in range(lo, hi + 1):
-            assert table.sigma_at(n) == sigma(n)
-            assert table.phi_at(n) == phi(n)
-            assert table.spf_at(n) == brute.smallest_prime_factor(n)
+        for kind in Kind:
+            values = build_table(lo, hi, kind)
+            assert values.tolist() == [kind.evaluate(n) for n in range(lo, hi + 1)]
 
 
-def test_spf_invariants():
-    table = build_table(2, 5000)
-    for n in range(2, 5001):
-        s = table.spf_at(n)
-        assert is_prime(s) and n % s == 0
-        assert (s == n) is is_prime(n)
+def test_build_table_at_capacity():
+    # the top of the table range, where the base primes reach 2**24, and the
+    # square of the largest prime below 2**24, where p**3 exceeds 2**64
+    q = (1 << 24) - 3
+    for lo, hi in (((1 << 48) - 2001, (1 << 48) - 1), (q * q - 10, q * q + 10)):
+        sig = build_table(lo, hi, Kind.SIGMA).tolist()
+        tot = build_table(lo, hi, Kind.PHI).tolist()
+        for n, s, t in zip(range(lo, hi + 1), sig, tot):
+            fac = factorize(n)  # scalar sigma and phi from one trial division
+            assert s == prod((p ** (e + 1) - 1) // (p - 1) for p, e in fac), n
+            assert t == prod(p ** (e - 1) * (p - 1) for p, e in fac), n
 
 
 def test_segment_size_independence():
-    base = build_table(1, 5000)
-    for seg in (1, 7, 64, 4096):
-        other = build_table(1, 5000, segment_size=seg)
-        assert np.array_equal(base.sigma, other.sigma)
-        assert np.array_equal(base.phi, other.phi)
-        assert np.array_equal(base.spf, other.spf)
+    for kind in Kind:
+        base = build_table(1, 5000, kind)
+        for seg in (1, 7, 64, 4096):
+            assert np.array_equal(base, build_table(1, 5000, kind, segment_size=seg))
 
 
 def test_table_validation():
     with pytest.raises(UsageError):
-        build_table(0, 10)
+        build_table(0, 10, Kind.SIGMA)
     with pytest.raises(UsageError):
-        build_table(10, 5)
+        build_table(10, 5, Kind.SIGMA)
     with pytest.raises(CapacityError):
-        build_table(1, 1 << 48)
+        build_table(1, 1 << 48, Kind.PHI)
+    with pytest.raises(UsageError):
+        build_table(1, 10, "sigma")
 
 
 def test_scalar_validation():
@@ -167,14 +174,6 @@ def test_sigma_result_capacity():
     assert n < 1 << 63
     with pytest.raises(CapacityError):
         sigma(n)
-
-
-def test_table_index_bounds():
-    table = build_table(5, 10)
-    with pytest.raises(UsageError):
-        table.sigma_at(4)
-    with pytest.raises(UsageError):
-        table.phi_at(11)
 
 
 def test_largest_factor_table():

@@ -156,6 +156,9 @@ def test_usage_errors_exit_1(capsys):
     assert "positive" in err
     code, _, _ = invoke(["nonsense"], capsys)
     assert code == 1
+    code, _, err = invoke(["search", *EQ_PHI1, "--max", "10", "--threads", "0"], capsys)
+    assert code == 1
+    assert "threads must be >= 1" in err
 
 
 def test_capacity_exit_2(capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+from functools import partial
 from math import gcd
 
 import pytest
@@ -73,7 +74,8 @@ def test_enumerate_families_sorted_and_coprime():
     keys = [(f.k1, f.k2) for f in fams]
     assert keys == [(2, 5), (12, 13)]  # two families, already sorted
     assert all(gcd(k1, k2) == 1 for k1, k2 in keys)
-    assert fams == enumerate_families(spec, 60, threads=4)
+    for threads in (4, 61):  # 61 > kmax: one block per k1
+        assert fams == enumerate_families(spec, 60, threads=threads)
 
 
 def test_enumerate_matches_all_pairs_scan():
@@ -241,3 +243,18 @@ def test_multiperfect_search_blocks_match():
     assert consecutive_multiperfect_search(1999, threads=3, block_size=150) == ms
     # the perfect number 6 at a block edge still gets its m+1 lookahead
     assert consecutive_multiperfect_search(6, block_size=6) == []
+
+
+def test_block_map_validation_is_shared():
+    # search, enumerate_families and the multiperfect search share one block map
+    calls = {
+        "search": partial(search, PHI_PLUS_2, 100),
+        "families": partial(enumerate_families, SIGMA_PLUS_22, 20),
+        "multiperfect": partial(consecutive_multiperfect_search, 100),
+    }
+    for call in calls.values():
+        with pytest.raises(UsageError):
+            call(threads=0)
+    for name in ("search", "multiperfect"):
+        with pytest.raises(UsageError):
+            calls[name](block_size=0)
