@@ -34,7 +34,6 @@ from .audit import (
     override_params,
 )
 from .equations import (
-    Classification,
     EquationSpec,
     SolutionRecord,
     count_raw,
@@ -71,7 +70,6 @@ __all__ = [
     "Bucket",
     "BucketVerdict",
     "CapacityError",
-    "Classification",
     "Decomposition",
     "DomainError",
     "EquationSpec",

@@ -1,4 +1,4 @@
-"""Exact arithmetic kernel: primality, factorization, and sigma or phi sieves.
+"""Exact arithmetic: primality, factorization, and sieves of multiplicative functions.
 
 Scalar operations accept any positive integer below 2**63 and are exact
 (Python integers throughout).  Bulk operations are numpy-backed segmented
@@ -124,6 +124,13 @@ class Kind(enum.Enum):
     def evaluate(self, n: int) -> int:
         return sigma(n) if self is Kind.SIGMA else phi(n)
 
+    def local(self, pe: np.ndarray, p: int | None = None) -> np.ndarray:
+        """f at a uint64 array pe of powers of the prime p, or of 1 and primes if p is None."""
+        if self is Kind.SIGMA:
+            # 1 + p + ... + p**e, without forming p**(e+1), which can pass 2**64
+            return pe + (pe > 1) if p is None else pe + (pe - 1) // (p - 1)
+        return pe - (pe > 1) if p is None else pe - pe // p
+
 
 def largest_prime_factor(n: int) -> int:
     """Largest prime dividing n, with the value 1 at n = 1."""
@@ -158,11 +165,12 @@ def primes_upto(limit: int) -> list[int]:
     return [int(p) for p in _simple_primes(limit)]
 
 
-def _sieve_segment(lo: int, primes: np.ndarray, kind: Kind, out: np.ndarray) -> None:
-    """Write f(n) for n in [lo, lo + out.size - 1] into out, f chosen by kind.
+def _sieve_segment(lo: int, primes: np.ndarray, local, out: np.ndarray) -> None:
+    """Write f(n) for n in [lo, lo + out.size - 1] into out, f multiplicative.
 
     Every prime power p**e <= hi that divides n is visited through a strided
-    view; the cofactor left after them is 1 or a single prime > sqrt(hi).
+    view and contributes local(p**e, p); the cofactor q left after them is 1
+    or a single prime > sqrt(hi) and contributes local(q).
     """
     size = out.size
     hi = lo + size - 1
@@ -179,14 +187,8 @@ def _sieve_segment(lo: int, primes: np.ndarray, kind: Kind, out: np.ndarray) -> 
             power[(first - start) // p :: pe // p] *= p
             pe *= p
         factored[start::p] *= power
-        if kind is Kind.SIGMA:
-            # 1 + p + ... + p**e, without forming p**(e+1), which can pass 2**64
-            out[start::p] *= power + (power - 1) // (p - 1)
-        else:
-            out[start::p] *= power - power // p
-    cofactor = np.arange(lo, hi + 1, dtype=np.uint64) // factored
-    big = cofactor > 1  # sigma(q) = q + 1 and phi(q) = q - 1 for the prime cofactor q
-    out *= cofactor + big if kind is Kind.SIGMA else cofactor - big
+        out[start::p] *= local(power, p)
+    out *= local(np.arange(lo, hi + 1, dtype=np.uint64) // factored)
 
 
 def build_table(
@@ -208,7 +210,7 @@ def build_table(
     primes = _simple_primes(isqrt(hi))
     out = np.empty(hi - lo + 1, dtype=np.uint64)
     for i in range(0, out.size, segment_size):
-        _sieve_segment(lo + i, primes, kind, out[i : i + segment_size])
+        _sieve_segment(lo + i, primes, kind.local, out[i : i + segment_size])
     return out
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -13,12 +12,6 @@ import numpy as np
 from . import arith
 from .arith import Kind
 from .errors import CapacityError, UsageError
-
-
-class Classification(enum.Enum):
-    PARAMETRIC = "parametric"
-    SPORADIC = "sporadic"
-    UNCLASSIFIED = "unclassified"
 
 
 @dataclass(frozen=True)
@@ -51,7 +44,6 @@ class SolutionRecord:
     arg1: int
     arg2: int
     value: int
-    classification: Classification = Classification.UNCLASSIFIED
 
 
 def _first_valid_n(spec: EquationSpec) -> int:

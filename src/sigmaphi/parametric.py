@@ -155,14 +155,17 @@ def classify(spec: EquationSpec, n: int) -> Witness | None:
     """Witness proving the solution n is parametric, or None if it is sporadic.
 
     Scans unit-multiplicity prime divisors q1 | arg1, q2 | arg2 and accepts
-    the first (ascending) pair satisfying all three identities:
+    the first (ascending) pair satisfying both identities:
 
       linear:   a2*(m1 + b1) == a1*(m2 + b2)      (phi kind: m_i - b_i)
       ratio:    a2*m1*(q1+1) == a1*m2*(q2+1)      (phi kind: q_i - 1)
-      divisor:  (q1+1)*sigma(m1) == (q2+1)*sigma(m2)   (phi kind analogous)
 
-    where m_i = arg_i / q_i.  The returned witness uses the maximal scale
-    l = gcd(q1+1, q2+1) (phi: gcd(q1-1, q2-1)), making k1, k2 coprime.
+    where m_i = arg_i / q_i.  The family's divisor identity
+    (q1+1)*sigma(m1) == (q2+1)*sigma(m2) (phi kind analogous) holds for every
+    such pair: q_i || arg_i gives sigma(arg_i) = (q_i+1)*sigma(m_i), and
+    sigma(arg1) == sigma(arg2) is checked first.  The returned witness uses
+    the maximal scale l = gcd(q1+1, q2+1) (phi: gcd(q1-1, q2-1)), making k1,
+    k2 coprime.
 
     Raises UsageError if n is not actually a solution.
     """
@@ -174,23 +177,15 @@ def classify(spec: EquationSpec, n: int) -> Witness | None:
     shift = 1 if spec.kind is Kind.SIGMA else -1
     q1s = [p for p, e in arith.factorize(arg1) if e == 1]
     q2s = [p for p, e in arith.factorize(arg2) if e == 1]
-    fm2s = [spec.kind.evaluate(arg2 // q) for q in q2s]
     for q1 in q1s:
         m1 = arg1 // q1
         t1 = q1 + shift
-        fm1 = spec.kind.evaluate(m1)
-        for q2, fm2 in zip(q2s, fm2s):
+        for q2 in q2s:
             m2 = arg2 // q2
             t2 = q2 + shift
-            if spec.kind is Kind.SIGMA:
-                if spec.a2 * (m1 + spec.b1) != spec.a1 * (m2 + spec.b2):
-                    continue
-            else:
-                if spec.a2 * (m1 - spec.b1) != spec.a1 * (m2 - spec.b2):
-                    continue
-            if spec.a2 * m1 * t1 != spec.a1 * m2 * t2:
+            if spec.a2 * (m1 + shift * spec.b1) != spec.a1 * (m2 + shift * spec.b2):
                 continue
-            if t1 * fm1 != t2 * fm2:
+            if spec.a2 * m1 * t1 != spec.a1 * m2 * t2:
                 continue
             l = gcd(t1, t2)
             family = Family(spec, t1 // l, t2 // l, m1, m2)

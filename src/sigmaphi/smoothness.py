@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
 from . import arith
-from .errors import DomainError, UsageError
+from .errors import CapacityError, DomainError, UsageError
 
 
 @dataclass(frozen=True)
@@ -31,13 +30,29 @@ def _check_xy(x: int, y) -> None:
         raise UsageError(f"x must be >= 1, got {x}")
     if y < 1:
         raise UsageError(f"y must be >= 1, got {y}")
+    if x >= arith.TABLE_LIMIT:
+        raise CapacityError(f"x must be < 2**48, got {x}")
+
+
+def _count(x: int, local) -> int:
+    """Count of n <= x with g(n) != 0, for the multiplicative g with g(p**e) = local(p**e, p).
+
+    For multiplicative f, f(n) is y-smooth iff f(p**e) is for every p**e || n.
+    """
+    primes = arith._simple_primes(math.isqrt(x))
+    buffer = np.empty(arith.DEFAULT_SEGMENT, dtype=bool)
+    total = 0
+    for lo in range(1, x + 1, buffer.size):
+        out = buffer[: x - lo + 1]
+        arith._sieve_segment(lo, primes, local, out)
+        total += int(np.count_nonzero(out))
+    return total
 
 
 def psi(x: int, y: int) -> int:
     """Count of n <= x all of whose prime factors are <= y (n = 1 counts)."""
     _check_xy(x, y)
-    lpf = arith.largest_factor_table(x)
-    return int(np.count_nonzero(lpf[1:] <= y))
+    return _count(x, lambda pe, p=None: (pe if p is None else p) <= y)
 
 
 def is_in_S(n: int, y) -> bool:
@@ -54,7 +69,7 @@ def count_S(x: int, y) -> int:
     """Count of n <= x divisible by some prime power p**a > y with a >= 2."""
     _check_xy(x, y)
     mark = np.zeros(x + 1, dtype=bool)
-    for p in arith.primes_upto(isqrt(x)):
+    for p in arith.primes_upto(math.isqrt(x)):
         q = p * p  # smallest admissible power, then grow past y
         while q <= y:
             q *= p
@@ -66,17 +81,15 @@ def count_S(x: int, y) -> int:
 def phi_smooth_count(x: int, y: int) -> int:
     """Count of n <= x whose totient has no prime factor > y."""
     _check_xy(x, y)
-    values = arith.build_table(1, x, arith.Kind.PHI)
-    lpf = arith.largest_factor_table(int(values.max()))
-    return int(np.count_nonzero(lpf[values.astype(np.int64)] <= y))
+    rough = arith.largest_factor_table(x) > y  # phi(p**e) <= x
+    return _count(x, lambda pe, p=None: ~rough[arith.Kind.PHI.local(pe, p)])
 
 
 def sigma_smooth_count(x: int, y: int) -> int:
     """Count of n <= x whose divisor sum has no prime factor > y."""
     _check_xy(x, y)
-    values = arith.build_table(1, x, arith.Kind.SIGMA)
-    lpf = arith.largest_factor_table(int(values.max()))
-    return int(np.count_nonzero(lpf[values.astype(np.int64)] <= y))
+    rough = arith.largest_factor_table(2 * x) > y  # sigma(p**e) < 2*p**e <= 2*x
+    return _count(x, lambda pe, p=None: ~rough[arith.Kind.SIGMA.local(pe, p)])
 
 
 def bound_debruijn(x, y) -> float:

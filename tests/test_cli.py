@@ -168,6 +168,12 @@ def test_capacity_exit_2(capsys):
         capsys,
     )
     assert code == 2
+    for which in ("psi", "s", "phi", "sigma"):
+        code, _, err = invoke(
+            ["smooth", "--which", which, "--x", str(1 << 48), "--y", "2"], capsys
+        )
+        assert code == 2
+        assert "x must be < 2**48" in err
 
 
 def test_thread_count_does_not_change_output(capsys):

@@ -3,7 +3,6 @@ import pytest
 import brute
 from sigmaphi import (
     CapacityError,
-    Classification,
     EquationSpec,
     Kind,
     UsageError,
@@ -83,7 +82,6 @@ def test_records_reverify():
             assert rec.arg2 == spec.a2 * rec.n + spec.b2
             f = sigma if spec.kind is Kind.SIGMA else phi
             assert f(rec.arg1) == f(rec.arg2) == rec.value
-            assert rec.classification is Classification.UNCLASSIFIED
 
 
 def test_partition_determinism():

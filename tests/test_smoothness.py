@@ -1,16 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 
 import brute
 from sigmaphi import (
     DomainError,
+    Kind,
     UsageError,
     bound_bfps,
     bound_debruijn,
     bound_main,
+    build_table,
     count_S,
     is_in_S,
+    largest_factor_table,
     phi_smooth_count,
     psi,
     sigma_smooth_count,
@@ -57,6 +61,19 @@ def test_counters_match_brute_small_grid():
             assert count_S(x, y) == brute.count_S(x, y)
             assert phi_smooth_count(x, y) == brute.phi_smooth_count(x, y)
             assert sigma_smooth_count(x, y) == brute.sigma_smooth_count(x, y)
+
+
+def test_counters_span_segments():
+    # x passes the first sieve segment (2**20 entries) and y = 1100 > sqrt(x).
+    # The reference factors every value through one table up to max(sigma).
+    x = 2**20 + 2000
+    sigmas = build_table(1, x, Kind.SIGMA).astype(np.int64)
+    phis = build_table(1, x, Kind.PHI).astype(np.int64)
+    lpf = largest_factor_table(int(sigmas.max()))
+    for y in (1, 100, 1100):
+        assert psi(x, y) == np.count_nonzero(lpf[1 : x + 1] <= y)
+        assert phi_smooth_count(x, y) == np.count_nonzero(lpf[phis] <= y)
+        assert sigma_smooth_count(x, y) == np.count_nonzero(lpf[sigmas] <= y)
 
 
 def test_is_in_S_matches_brute():
