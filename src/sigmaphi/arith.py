@@ -1,15 +1,17 @@
 """Exact arithmetic: primality, factorization, and sieves of multiplicative functions.
 
 Scalar operations accept any positive integer below 2**63 and are exact
-(Python integers throughout).  Bulk operations are numpy-backed segmented
-sieves; table inputs are capped at 2**48 so every sigma value stays well
-below 2**64.
+(Python integers throughout): primality is a deterministic Miller-Rabin
+test, and factorize is small-prime trial division plus Brent's rho.  Bulk
+operations are numpy-backed segmented sieves; table inputs are capped at
+2**48 so every sigma value stays well below 2**64.
 """
 
 from __future__ import annotations
 
 import enum
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -22,12 +24,34 @@ U64_MAX = (1 << 64) - 1
 # Entries per sieve segment.  Tuning only: results must not depend on it.
 DEFAULT_SEGMENT = 1 << 20
 
-# Sufficient Miller-Rabin witnesses for every n < 3.3 * 10**24, so the test
-# below is deterministic over the whole scalar range.
+# The first 12 primes: trial divisors of is_prime, and Miller-Rabin bases
+# sufficient for every n < 3.18 * 10**23 (Sorenson & Webster, Math. Comp. 86,
+# 2017), far beyond the scalar range.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Gaps between consecutive integers coprime to 30, starting from 7.
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+# (bound, bases): Miller-Rabin to these bases is exact for every n < bound,
+# the bound being exclusive, because it is the least composite that is a
+# strong pseudoprime to all of them: psi_2 and psi_4 (Pomerance, Selfridge &
+# Wagstaff, Math. Comp. 35, 1980), psi_6 and psi_7 (Jaeschke, Math. Comp. 61,
+# 1993) and psi_9 (Jaeschke 1993; proven least by Jiang & Deng, Math. Comp.
+# 83, 2014).  The last row covers the rest of the scalar range.
+_MR_TIERS = (
+    (1_373_653, _WITNESSES[:2]),
+    (3_215_031_751, _WITNESSES[:4]),
+    (3_474_749_660_383, _WITNESSES[:6]),
+    (341_550_071_728_321, _WITNESSES[:7]),
+    (3_825_123_056_546_413_051, _WITNESSES[:9]),
+    (SCALAR_LIMIT, _WITNESSES),
+)
+
+# factorize trial-divides by the primes below this bound and hands the
+# cofactor to rho; any cofactor below its square is 1 or a prime.
+_TRIAL_BOUND = 1 << 10
+_TRIAL_PRIMES = tuple(
+    p for p in range(2, _TRIAL_BOUND) if all(p % d for d in range(2, isqrt(p) + 1))
+)
+# Products of |x - y| that Brent's rho accumulates between two gcds.
+_RHO_BATCH = 128
 
 Factorization = list[tuple[int, int]]
 
@@ -47,10 +71,13 @@ def is_prime(n: int) -> bool:
     for p in _WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 37 * 37:  # no prime factor <= 37
+        return True
+    bases = next(bases for bound, bases in _MR_TIERS if n < bound)
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _WITNESSES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -63,39 +90,67 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _rho(n: int) -> int:
+    """A proper divisor of the odd composite n: Brent's variant of Pollard's rho.
+
+    Iterates x -> x*x + c mod n for c = 1, 2, 3, ... (Brent, BIT 20, 1980),
+    taking one gcd per _RHO_BATCH products of |x - y| and stepping back one
+    product at a time when a batch's gcd reaches n.
+    """
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 def factorize(n: int) -> Factorization:
     """Prime factorization as an ascending list of (prime, exponent) pairs.
 
-    Wheel trial division with a primality short-circuit once the remaining
-    cofactor is prime; factorize(1) is the empty list.
+    Trial division by the primes below _TRIAL_BOUND, then Brent's rho on the
+    cofactor; every factor rho splits off is certified by is_prime, so the
+    result is exact.  factorize(1) is the empty list.
     """
     _check_scalar(n)
     out: Factorization = []
     rem = n
-    for p in (2, 3, 5):
+    for p in _TRIAL_PRIMES:
+        if p * p > rem:
+            break
         if rem % p == 0:
             e = 0
             while rem % p == 0:
                 rem //= p
                 e += 1
             out.append((p, e))
-    f, wi = 7, 0
-    while rem > 1:
-        if is_prime(rem):
-            out.append((rem, 1))
-            break
-        while f * f <= rem and rem % f:
-            f += _WHEEL[wi]
-            wi = (wi + 1) & 7
-        if f * f > rem:
-            # unreachable while is_prime is correct; kept as a safety net
-            out.append((rem, 1))
-            break
-        e = 0
-        while rem % f == 0:
-            rem //= f
-            e += 1
-        out.append((f, e))
+    # every prime factor of rem is >= _TRIAL_BOUND, or rem < p*p after the
+    # break: either way a factor m > 1 of rem below _TRIAL_BOUND**2 is prime
+    large, pending = [], [rem] if rem > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < _TRIAL_BOUND**2 or is_prime(m):
+            large.append(m)
+        else:
+            d = _rho(m)
+            pending += (d, m // d)
+    out += [(q, large.count(q)) for q in sorted(set(large))]
     return out
 
 

@@ -13,6 +13,10 @@ from . import arith
 from .arith import Kind
 from .errors import CapacityError, UsageError
 
+# Most threads one block map may run.  The pool may start one thread per
+# block, and a request past this is a typo rather than a core count.
+_MAX_THREADS = 256
+
 
 @dataclass(frozen=True)
 class EquationSpec:
@@ -69,6 +73,8 @@ def _map_blocks(
     """
     if threads < 1:
         raise UsageError("threads must be >= 1")
+    if threads > _MAX_THREADS:
+        raise UsageError(f"threads must be <= {_MAX_THREADS}, got {threads}")
     if block_size is not None and block_size < 1:
         raise UsageError("block_size must be >= 1")
     step = block_size or step

@@ -25,13 +25,30 @@ class SmoothReport:
     ratio: float | None
 
 
-def _check_xy(x: int, y) -> None:
+# Up-front limits, so that a count which would exhaust memory or sieve for
+# days is refused with CapacityError instead.  _MEMORY_BUDGET caps, in bytes,
+# the one O(x) array a counter allocates: largest_factor_table(2x) for sigma
+# and (x) for phi at 8 B per entry, and count_S's x + 1 bools.  _SIEVE_LIMIT
+# caps x for every counter; psi, which allocates O(segment), meets only this
+# one.  The kernel walks ~4 * 10**7 entries per second (psi(10**7, 100) in
+# 0.25 s on a 2-vCPU Xeon), so x = 10**9 takes ~25 s and the limit ~4 min.
+_MEMORY_BUDGET = 1 << 30
+_SIEVE_LIMIT = 10**10
+
+
+def _check_xy(x: int, y, array_bytes: int = 0) -> None:
     if x < 1:
         raise UsageError(f"x must be >= 1, got {x}")
     if y < 1:
         raise UsageError(f"y must be >= 1, got {y}")
     if x >= arith.TABLE_LIMIT:
         raise CapacityError(f"x must be < 2**48, got {x}")
+    if x > _SIEVE_LIMIT:
+        raise CapacityError(f"x must be <= {_SIEVE_LIMIT}, got {x}")
+    if array_bytes > _MEMORY_BUDGET:
+        raise CapacityError(
+            f"x={x} needs a {array_bytes} B array, over the {_MEMORY_BUDGET} B budget"
+        )
 
 
 def _count(x: int, local) -> int:
@@ -67,7 +84,7 @@ def is_in_S(n: int, y) -> bool:
 
 def count_S(x: int, y) -> int:
     """Count of n <= x divisible by some prime power p**a > y with a >= 2."""
-    _check_xy(x, y)
+    _check_xy(x, y, x + 1)
     mark = np.zeros(x + 1, dtype=bool)
     for p in arith.primes_upto(math.isqrt(x)):
         q = p * p  # smallest admissible power, then grow past y
@@ -80,14 +97,14 @@ def count_S(x: int, y) -> int:
 
 def phi_smooth_count(x: int, y: int) -> int:
     """Count of n <= x whose totient has no prime factor > y."""
-    _check_xy(x, y)
+    _check_xy(x, y, 8 * (x + 1))
     rough = arith.largest_factor_table(x) > y  # phi(p**e) <= x
     return _count(x, lambda pe, p=None: ~rough[arith.Kind.PHI.local(pe, p)])
 
 
 def sigma_smooth_count(x: int, y: int) -> int:
     """Count of n <= x whose divisor sum has no prime factor > y."""
-    _check_xy(x, y)
+    _check_xy(x, y, 8 * (2 * x + 1))
     rough = arith.largest_factor_table(2 * x) > y  # sigma(p**e) < 2*p**e <= 2*x
     return _count(x, lambda pe, p=None: ~rough[arith.Kind.SIGMA.local(pe, p)])
 

@@ -1,3 +1,4 @@
+import time
 from math import prod
 
 import numpy as np
@@ -42,6 +43,50 @@ def test_factorize_reconstructs_and_orders():
             prod *= p**e
         assert prod == n
         assert [p for p, _ in fac] == sorted(p for p, _ in fac)
+
+
+# primes above 2**30, and the two largest primes below 2**21 (2097143**3 is
+# the largest prime cube below 2**63)
+HARD_PRIMES = (2147483647, 2147483629, 2147483587, 3037000493, 3037000453, 4294967291)
+CUBE_PRIMES = (2097143, 2097133)
+
+
+def _hard_cases():
+    products = [p * q for i, p in enumerate(HARD_PRIMES) for q in HARD_PRIMES[i:]]
+    p, q = CUBE_PRIMES
+    return [n for n in products if n < 1 << 63] + [p**3, p * p * q]
+
+
+def test_hard_primes_are_prime():
+    for p in HARD_PRIMES + CUBE_PRIMES:
+        assert brute.is_prime(p) and is_prime(p)
+
+
+@pytest.mark.parametrize("n", _hard_cases())
+def test_factorize_hard_cases(n):
+    start = time.perf_counter()
+    fac = factorize(n)
+    assert time.perf_counter() - start < 1.0
+    assert prod(p**e for p, e in fac) == n
+    assert all(is_prime(p) for p, _ in fac)
+    assert [p for p, _ in fac] == sorted({p for p, _ in fac})
+
+
+@pytest.mark.parametrize(
+    "n",
+    # the least strong pseudoprimes to the prime bases 2..3, 2..5, 2..7,
+    # 2..11, 2..13, 2..17 and 2..23: a tier bound that is off by one admits
+    # the pseudoprime at that bound
+    [1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+     341550071728321, 3825123056546413051],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_matches_brute_at_first_tier_bound():
+    for n in range(1373653 - 2000, 1373653 + 2001):
+        assert is_prime(n) is brute.is_prime(n)
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (476, 1008), (498, 1008)])
@@ -136,7 +181,7 @@ def test_build_table_at_capacity():
         sig = build_table(lo, hi, Kind.SIGMA).tolist()
         tot = build_table(lo, hi, Kind.PHI).tolist()
         for n, s, t in zip(range(lo, hi + 1), sig, tot):
-            fac = factorize(n)  # scalar sigma and phi from one trial division
+            fac = factorize(n)  # scalar sigma and phi from one factorization
             assert s == prod((p ** (e + 1) - 1) // (p - 1) for p, e in fac), n
             assert t == prod(p ** (e - 1) * (p - 1) for p, e in fac), n
 

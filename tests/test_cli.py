@@ -1,4 +1,5 @@
 import json
+import time
 
 from sigmaphi.cli import run
 
@@ -159,6 +160,11 @@ def test_usage_errors_exit_1(capsys):
     code, _, err = invoke(["search", *EQ_PHI1, "--max", "10", "--threads", "0"], capsys)
     assert code == 1
     assert "threads must be >= 1" in err
+    # ten blocks each, so a missing cap would still start at most ten threads
+    for argv in (["search", *EQ_PHI1, "--max", "10"], ["families", *EQ_SIGMA22, "--kmax", "10"]):
+        code, _, err = invoke([*argv, "--threads", "1000000"], capsys)
+        assert code == 1
+        assert "threads must be <=" in err
 
 
 def test_capacity_exit_2(capsys):
@@ -174,6 +180,22 @@ def test_capacity_exit_2(capsys):
         )
         assert code == 2
         assert "x must be < 2**48" in err
+    # refused before the 160 GB (sigma), 80 GB (phi) or 10 GB (s) table is
+    # allocated, and before psi sieves for about 40 days
+    for which, x in (("psi", 1 << 47), ("s", 10**10), ("phi", 10**10), ("sigma", 10**10)):
+        code, _, err = invoke(["smooth", "--which", which, "--x", str(x), "--y", "2"], capsys)
+        assert code == 2, which
+        assert "x must be <=" in err or "budget" in err
+
+
+def test_classify_hard_semiprime(capsys):
+    # two 31-bit primes: sigma(n) != sigma(n + 1), found in well under a second
+    n = 2147483647 * 2147483629
+    start = time.perf_counter()
+    code, _, err = invoke(["classify", *EQ_SIGMA1, "--n", str(n)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "not a solution" in err
 
 
 def test_thread_count_does_not_change_output(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import brute
+from sigmaphi import smoothness
 from sigmaphi import (
     DomainError,
     Kind,
@@ -142,3 +143,12 @@ def test_counter_validation():
         count_S(10, 0)
     with pytest.raises(UsageError):
         is_in_S(5, 0)
+
+
+def test_budgets_admit_target_sizes(monkeypatch):
+    # with the sieves stubbed out, only the up-front limits run
+    monkeypatch.setattr(smoothness, "_count", lambda x, local: x)
+    monkeypatch.setattr(smoothness.arith, "largest_factor_table", lambda limit: np.ones(1))
+    assert psi(10**9, 100) == 10**9
+    assert phi_smooth_count(10**8, 100) == 10**8
+    assert sigma_smooth_count(6 * 10**7, 100) == 6 * 10**7
