@@ -4,7 +4,9 @@ Scalar operations accept any positive integer below 2**63 and are exact
 (Python integers throughout): primality is a deterministic Miller-Rabin
 test, and factorize is small-prime trial division plus Brent's rho.  Bulk
 operations are numpy-backed segmented sieves; table inputs are capped at
-2**48 so every sigma value stays well below 2**64.
+2**48 so every sigma value stays well below 2**64.  build_table sieves any
+arithmetic progression lo, lo + step, ... <= hi, so a caller that reads
+every a-th integer (search at a1, a2 > 1) sieves only the terms it reads.
 """
 
 from __future__ import annotations
@@ -180,7 +182,10 @@ class Kind(enum.Enum):
         return sigma(n) if self is Kind.SIGMA else phi(n)
 
     def local(self, pe: np.ndarray, p: int | None = None) -> np.ndarray:
-        """f at a uint64 array pe of powers of the prime p, or of 1 and primes if p is None."""
+        """f at pe, powers of the prime p, or 1 and primes if p is None.
+
+        pe is a uint64 array or a Python int; ints stay exact at any size.
+        """
         if self is Kind.SIGMA:
             # 1 + p + ... + p**e, without forming p**(e+1), which can pass 2**64
             return pe + (pe > 1) if p is None else pe + (pe - 1) // (p - 1)
@@ -220,39 +225,72 @@ def primes_upto(limit: int) -> list[int]:
     return [int(p) for p in _simple_primes(limit)]
 
 
-def _sieve_segment(lo: int, primes: np.ndarray, local, out: np.ndarray) -> None:
-    """Write f(n) for n in [lo, lo + out.size - 1] into out, f multiplicative.
+def _progression_hits(lo: int, step: int, q: int) -> tuple[int, int] | None:
+    """(j0, m) such that q divides lo + step*j exactly when j = j0 (mod m), or None."""
+    g = gcd(step, q)
+    if lo % g:
+        return None
+    m = q // g
+    return (-lo // g) * pow(step // g, -1, m) % m, m
 
-    Every prime power p**e <= hi that divides n is visited through a strided
-    view and contributes local(p**e, p); the cofactor q left after them is 1
-    or a single prime > sqrt(hi) and contributes local(q).
+
+def _sieve_segment(
+    lo: int, primes: np.ndarray, local, out: np.ndarray, step: int = 1
+) -> None:
+    """Write f(lo + step*j) for j in [0, out.size) into out, f multiplicative.
+
+    Every prime power p**e <= hi that divides a term is visited through a
+    strided view and contributes local(p**e, p); the cofactor q left after
+    them is 1 or a single prime > sqrt(hi) and contributes local(q).  The
+    terms divisible by p**e are those with j = j_e (mod m_e), a sub-progression
+    of the terms divisible by p, since m_1 divides m_e.
     """
     size = out.size
-    hi = lo + size - 1
+    hi = lo + step * (size - 1)
     primes = primes[: np.searchsorted(primes, isqrt(hi), side="right")]
     starts = (-lo) % primes
-    hit = starts < size
+    # p divides no term unless it divides some integer in [lo, hi]
+    hit = starts <= hi - lo
     out[:] = 1
     factored = np.ones(size, dtype=np.uint64)  # product of the p**e found so far
     for p, start in zip(primes[hit].tolist(), starts[hit].tolist()):
-        # power[j] is the p**e exactly dividing the j-th multiple of p, n = lo + start + j*p
-        power = np.full(len(range(start, size, p)), p, dtype=np.uint64)
+        if step == 1:
+            stride = p
+        else:
+            found = _progression_hits(lo, step, p)
+            if found is None or found[0] >= size:
+                continue
+            start, stride = found
+        # power[i] is the p**e exactly dividing the term j = start + i*stride
+        power = np.full(len(range(start, size, stride)), p, dtype=np.uint64)
         pe = p * p
-        while pe <= hi and (first := (-lo) % pe) < size:
-            power[(first - start) // p :: pe // p] *= p
+        while pe <= hi:
+            found = ((-lo) % pe, pe) if step == 1 else _progression_hits(lo, step, pe)
+            if found is None or found[0] >= size:
+                break
+            first, m = found
+            power[(first - start) // stride :: m // stride] *= p
             pe *= p
-        factored[start::p] *= power
-        out[start::p] *= local(power, p)
-    out *= local(np.arange(lo, hi + 1, dtype=np.uint64) // factored)
+        factored[start::stride] *= power
+        out[start::stride] *= local(power, p)
+    terms = np.arange(lo, hi + 1, step, dtype=np.uint64)
+    np.floor_divide(terms, factored, out=factored)  # the cofactors
+    out *= local(factored)
 
 
 def build_table(
-    lo: int, hi: int, kind: Kind, segment_size: int = DEFAULT_SEGMENT
+    lo: int,
+    hi: int,
+    kind: Kind,
+    segment_size: int = DEFAULT_SEGMENT,
+    step: int = 1,
 ) -> np.ndarray:
-    """uint64 array of f(n) for every n in [lo, hi], indexed by n - lo; f is sigma or phi.
+    """uint64 array of f(lo), f(lo + step), ... up to hi, indexed by (n - lo) // step.
 
-    Memory is O(hi - lo) for the output plus O(sqrt(hi)) for base primes;
-    construction walks the range in segments of `segment_size` entries.
+    f is sigma or phi.  Only the terms of the progression are sieved, so a
+    table of every a-th integer costs about 1/a of the dense one.  Memory is
+    O((hi - lo) / step) for the output plus O(sqrt(hi)) for base primes;
+    construction walks the terms in segments of `segment_size` entries.
     """
     if lo < 1 or hi < lo:
         raise UsageError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
@@ -260,12 +298,14 @@ def build_table(
         raise CapacityError(f"hi must be < 2**48, got {hi}")
     if segment_size < 1:
         raise UsageError("segment_size must be >= 1")
+    if step < 1:
+        raise UsageError(f"step must be >= 1, got {step}")
     if not isinstance(kind, Kind):
         raise UsageError(f"kind must be Kind.SIGMA or Kind.PHI, got {kind!r}")
     primes = _simple_primes(isqrt(hi))
-    out = np.empty(hi - lo + 1, dtype=np.uint64)
+    out = np.empty((hi - lo) // step + 1, dtype=np.uint64)
     for i in range(0, out.size, segment_size):
-        _sieve_segment(lo + i, primes, kind.local, out[i : i + segment_size])
+        _sieve_segment(lo + i * step, primes, kind.local, out[i : i + segment_size], step)
     return out
 
 
@@ -278,7 +318,15 @@ def largest_factor_table(limit: int) -> np.ndarray:
     if limit < 1:
         raise UsageError(f"limit must be >= 1, got {limit}")
     out = np.ones(limit + 1, dtype=np.uint64)
-    for p in _simple_primes(limit):
-        p = int(p)
+    primes = _simple_primes(limit)
+    small = np.searchsorted(primes, isqrt(limit), side="right")
+    for p in primes[:small].tolist():
         out[p::p] = p  # ascending primes: the last write wins
-    return out
+    # n <= limit has at most one prime factor above isqrt(limit), and it is
+    # the largest: write each such p at its multiples p*m, one m at a time
+    large = primes[small:]
+    for m in count(1):
+        ps = large[: np.searchsorted(large, limit // m, side="right")]
+        if ps.size == 0:
+            return out
+        out[ps * m] = ps

@@ -90,7 +90,7 @@ def _map_blocks(
 def _scan_block(spec: EquationSpec, block: tuple[int, int]) -> list[SolutionRecord]:
     u, v = block
     strided = [
-        arith.build_table(a * u + b, a * v + b, spec.kind)[::a]
+        arith.build_table(a * u + b, a * v + b, spec.kind, step=a)
         for a, b in ((spec.a1, spec.b1), (spec.a2, spec.b2))
     ]
     hits = np.nonzero(strided[0] == strided[1])[0]

@@ -17,7 +17,7 @@ equation, because f(m_i*q_i) = f(m_i)*k_i*l on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -151,6 +151,14 @@ def verify_witness(w: Witness) -> bool:
     return spec.kind.evaluate(arg1) == spec.kind.evaluate(arg2)
 
 
+def _value(kind: Kind, n: int, fac: arith.Factorization) -> int:
+    """f(n) from the factorization fac of n, exact on Python ints."""
+    value = prod(kind.local(p**e, p) for p, e in fac)
+    if value > arith.U64_MAX:
+        raise CapacityError(f"{kind.value}({n}) does not fit in 64 bits")
+    return value
+
+
 def classify(spec: EquationSpec, n: int) -> Witness | None:
     """Witness proving the solution n is parametric, or None if it is sporadic.
 
@@ -172,11 +180,14 @@ def classify(spec: EquationSpec, n: int) -> Witness | None:
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
     arg1, arg2 = spec.arguments(n)
-    if arg1 < 1 or arg2 < 1 or spec.kind.evaluate(arg1) != spec.kind.evaluate(arg2):
+    if arg1 < 1 or arg2 < 1:
+        raise UsageError(f"n={n} is not a solution of the equation")
+    fac1, fac2 = arith.factorize(arg1), arith.factorize(arg2)
+    if _value(spec.kind, arg1, fac1) != _value(spec.kind, arg2, fac2):
         raise UsageError(f"n={n} is not a solution of the equation")
     shift = 1 if spec.kind is Kind.SIGMA else -1
-    q1s = [p for p, e in arith.factorize(arg1) if e == 1]
-    q2s = [p for p, e in arith.factorize(arg2) if e == 1]
+    q1s = [p for p, e in fac1 if e == 1]
+    q2s = [p for p, e in fac2 if e == 1]
     for q1 in q1s:
         m1 = arg1 // q1
         t1 = q1 + shift

@@ -19,6 +19,7 @@ from sigmaphi import (
     radical,
     sigma,
 )
+from sigmaphi.arith import DEFAULT_SEGMENT
 
 
 @pytest.mark.parametrize(
@@ -186,6 +187,35 @@ def test_build_table_at_capacity():
             assert t == prod(p ** (e - 1) * (p - 1) for p, e in fac), n
 
 
+STEPS = [*range(1, 41), 64, 81, 210, 1024, 2310]
+
+
+@pytest.mark.parametrize("step", STEPS)
+def test_stepped_table_matches_dense(step):
+    # lo coprime to step, a multiple of it, and sharing only part of its
+    # factors: each prime of step then divides no term in some progressions
+    # and every term in others
+    for lo in (1, step, 2 * step + 1, step * step, 6 * step + 4, 720720 + 3):
+        hi = lo + 60 * step + step // 2
+        for kind in Kind:
+            dense = build_table(lo, hi, kind)[::step]
+            for seg in (1, 7, DEFAULT_SEGMENT):
+                stepped = build_table(lo, hi, kind, segment_size=seg, step=step)
+                assert np.array_equal(stepped, dense), (lo, kind, seg)
+
+
+@pytest.mark.parametrize("step", (2, 3, 6))
+def test_stepped_table_at_capacity(step):
+    lo = (1 << 48) - 1 - 300 * step
+    sig = build_table(lo, (1 << 48) - 1, Kind.SIGMA, step=step).tolist()
+    tot = build_table(lo, (1 << 48) - 1, Kind.PHI, step=step).tolist()
+    assert len(sig) == len(tot) == 301
+    for n, s, t in zip(range(lo, 1 << 48, step), sig, tot):
+        fac = factorize(n)
+        assert s == prod((p ** (e + 1) - 1) // (p - 1) for p, e in fac), n
+        assert t == prod(p ** (e - 1) * (p - 1) for p, e in fac), n
+
+
 def test_segment_size_independence():
     for kind in Kind:
         base = build_table(1, 5000, kind)
@@ -202,6 +232,8 @@ def test_table_validation():
         build_table(1, 1 << 48, Kind.PHI)
     with pytest.raises(UsageError):
         build_table(1, 10, "sigma")
+    with pytest.raises(UsageError):
+        build_table(1, 10, Kind.SIGMA, step=0)
 
 
 def test_scalar_validation():
@@ -222,10 +254,21 @@ def test_sigma_result_capacity():
 
 
 def test_largest_factor_table():
-    lpf = largest_factor_table(3000)
+    lpf = largest_factor_table(20_000)
     assert lpf[1] == 1
-    for n in range(1, 3001):
+    for n in range(1, 20_001):
         assert int(lpf[n]) == brute.largest_prime_factor(n)
+    for limit in (1, 2, 3, 4, 24, 25, 26):
+        assert largest_factor_table(limit).tolist() == lpf[: limit + 1].tolist()
+
+
+def test_largest_factor_table_matches_strided_writes():
+    # one strided write per prime, ascending, so the largest prime writes last
+    limit = 200_000
+    old = np.ones(limit + 1, dtype=np.uint64)
+    for p in primes_upto(limit):
+        old[p::p] = p
+    assert np.array_equal(largest_factor_table(limit), old)
 
 
 def test_primes_upto():

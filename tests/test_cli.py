@@ -188,6 +188,12 @@ def test_capacity_exit_2(capsys):
         assert "x must be <=" in err or "budget" in err
 
 
+def test_classify_sigma_past_64_bits_exit_2(capsys):
+    code, _, err = invoke(["classify", *EQ_SIGMA1, "--n", "5071080123293184000"], capsys)
+    assert code == 2
+    assert "does not fit in 64 bits" in err
+
+
 def test_classify_hard_semiprime(capsys):
     # two 31-bit primes: sigma(n) != sigma(n + 1), found in well under a second
     n = 2147483647 * 2147483629

@@ -108,6 +108,26 @@ def test_multiplier_stride():
     assert ns == brute.solutions("sigma", 2, 1, 3, 5, 400)
 
 
+# a and b share factors, so some primes divide every term of a progression
+AFFINE = [(4, 2, 6, 4), (8, 4, 9, 3), (6, 3, 10, -5)]
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("a1,b1,a2,b2", AFFINE)
+def test_affine_search_matches_brute(kind, a1, b1, a2, b2):
+    spec = EquationSpec(kind, a1, b1, a2, b2)
+    ns = [r.n for r in search(spec, 3000)]
+    assert ns == brute.solutions(kind.value, a1, b1, a2, b2, 3000)
+
+
+def test_affine_search_ignores_threads_and_blocks():
+    spec = EquationSpec(Kind.SIGMA, 8, 4, 9, 3)
+    whole = search(spec, 5000)
+    assert len(whole) > 10
+    for threads, block_size in ((1, 7), (3, 97), (2, 1000), (4, None)):
+        assert search(spec, 5000, threads=threads, block_size=block_size) == whole
+
+
 def test_search_validation():
     with pytest.raises(UsageError):
         search(PHI_PLUS_1, 0)

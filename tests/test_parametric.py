@@ -6,6 +6,7 @@ import pytest
 
 import brute
 from sigmaphi import (
+    CapacityError,
     EquationSpec,
     Kind,
     UsageError,
@@ -156,6 +157,15 @@ def test_classify_rejects_non_solution():
         classify(SIGMA_PLUS_22, 13)
     with pytest.raises(UsageError):
         classify(EquationSpec(Kind.PHI, 1, -5, 1, 5), 2)  # nonpositive argument
+
+
+def test_classify_refuses_sigma_past_64_bits():
+    # 2**12 * 3**8 * 5**3 * 7**2 * 11 * 13 * ... * 29 is below 2**63, but its
+    # divisor sum is not below 2**64
+    n = 5071080123293184000
+    assert n < 1 << 63 and sigma(n // 2**12) * (2**13 - 1) >= 1 << 64
+    with pytest.raises(CapacityError):
+        classify(SIGMA_PLUS_1, n)
 
 
 def test_generated_witnesses_classify_parametric():
