@@ -18,7 +18,6 @@ from .arith import (
     largest_factor_table,
     largest_prime_factor,
     phi,
-    primes_upto,
     radical,
     sigma,
 )
@@ -36,8 +35,6 @@ from .audit import (
 from .equations import (
     EquationSpec,
     SolutionRecord,
-    count_raw,
-    count_sporadic,
     search,
 )
 from .errors import CapacityError, DomainError, IntegrityError, UsageError
@@ -46,6 +43,7 @@ from .parametric import (
     Witness,
     classify,
     consecutive_multiperfect_search,
+    count_sporadic,
     derive_family,
     enumerate_families,
     generate,
@@ -90,7 +88,6 @@ __all__ = [
     "classify",
     "consecutive_multiperfect_search",
     "count_S",
-    "count_raw",
     "count_sporadic",
     "default_params",
     "derive_family",
@@ -105,7 +102,6 @@ __all__ = [
     "override_params",
     "phi",
     "phi_smooth_count",
-    "primes_upto",
     "psi",
     "radical",
     "search",

@@ -26,6 +26,17 @@ U64_MAX = (1 << 64) - 1
 # Entries per sieve segment.  Tuning only: results must not depend on it.
 DEFAULT_SEGMENT = 1 << 20
 
+# Up-front limits, so that a request which would exhaust memory or sieve for
+# days is refused with CapacityError instead.  _MEMORY_BUDGET caps, in bytes,
+# the one O(range) array a table or a smooth counter allocates: 8 B per
+# entry for build_table and largest_factor_table, 1 B per entry for
+# count_S's marks.  _SIEVE_LIMIT caps how many integers one block map or one
+# smooth counter walks.  The kernel walks ~4 * 10**7 entries per second
+# (psi(10**7, 100) in 0.25 s on a 2-vCPU Xeon), so 10**9 takes ~25 s and
+# the limit ~4 min.
+_MEMORY_BUDGET = 1 << 30
+_SIEVE_LIMIT = 10**10
+
 # The first 12 primes: trial divisors of is_prime, and Miller-Rabin bases
 # sufficient for every n < 3.18 * 10**23 (Sorenson & Webster, Math. Comp. 86,
 # 2017), far beyond the scalar range.
@@ -56,6 +67,14 @@ _TRIAL_PRIMES = tuple(
 _RHO_BATCH = 128
 
 Factorization = list[tuple[int, int]]
+
+
+def _check_table_bytes(entries: int) -> None:
+    if 8 * entries > _MEMORY_BUDGET:
+        raise CapacityError(
+            f"a table of {entries} entries needs {8 * entries} B, "
+            f"over the {_MEMORY_BUDGET} B budget"
+        )
 
 
 def _check_scalar(n: int, name: str = "n", minimum: int = 1) -> None:
@@ -181,6 +200,11 @@ class Kind(enum.Enum):
     def evaluate(self, n: int) -> int:
         return sigma(n) if self is Kind.SIGMA else phi(n)
 
+    @property
+    def shift(self) -> int:
+        """f(q) - q at every prime q: +1 for sigma, -1 for phi."""
+        return 1 if self is Kind.SIGMA else -1
+
     def local(self, pe: np.ndarray, p: int | None = None) -> np.ndarray:
         """f at pe, powers of the prime p, or 1 and primes if p is None.
 
@@ -216,13 +240,6 @@ def _simple_primes(limit: int) -> np.ndarray:
         if mask[p]:
             mask[p * p :: p] = False
     return np.nonzero(mask)[0].astype(np.int64)
-
-
-def primes_upto(limit: int) -> list[int]:
-    """All primes <= limit, ascending."""
-    if limit < 0:
-        raise UsageError(f"limit must be >= 0, got {limit}")
-    return [int(p) for p in _simple_primes(limit)]
 
 
 def _progression_hits(lo: int, step: int, q: int) -> tuple[int, int] | None:
@@ -290,7 +307,8 @@ def build_table(
     f is sigma or phi.  Only the terms of the progression are sieved, so a
     table of every a-th integer costs about 1/a of the dense one.  Memory is
     O((hi - lo) / step) for the output plus O(sqrt(hi)) for base primes;
-    construction walks the terms in segments of `segment_size` entries.
+    construction walks the terms in segments of `segment_size` entries.  An
+    output over _MEMORY_BUDGET bytes is refused with CapacityError.
     """
     if lo < 1 or hi < lo:
         raise UsageError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
@@ -302,6 +320,7 @@ def build_table(
         raise UsageError(f"step must be >= 1, got {step}")
     if not isinstance(kind, Kind):
         raise UsageError(f"kind must be Kind.SIGMA or Kind.PHI, got {kind!r}")
+    _check_table_bytes((hi - lo) // step + 1)
     primes = _simple_primes(isqrt(hi))
     out = np.empty((hi - lo) // step + 1, dtype=np.uint64)
     for i in range(0, out.size, segment_size):
@@ -313,10 +332,12 @@ def largest_factor_table(limit: int) -> np.ndarray:
     """uint64 array t with t[n] = largest prime factor of n for 1 <= n <= limit.
 
     t[0] and t[1] are both 1 (index 0 is padding; the value at 1 is the
-    convention used throughout).
+    convention used throughout).  An output over _MEMORY_BUDGET bytes is
+    refused with CapacityError.
     """
     if limit < 1:
         raise UsageError(f"limit must be >= 1, got {limit}")
+    _check_table_bytes(limit + 1)
     out = np.ones(limit + 1, dtype=np.uint64)
     primes = _simple_primes(limit)
     small = np.searchsorted(primes, isqrt(limit), side="right")

@@ -24,9 +24,9 @@ import math
 from dataclasses import dataclass
 
 from . import arith, smoothness
-from .equations import EquationSpec, Kind, SolutionRecord, search
+from .equations import EquationSpec, SolutionRecord, search
 from .errors import DomainError, IntegrityError, UsageError
-from .parametric import classify
+from .parametric import _solve, _value, _witness
 
 
 @dataclass(frozen=True)
@@ -92,47 +92,44 @@ class BucketVerdict:
     boundary: bool = False
 
 
-def _decompose(spec: EquationSpec, arg1: int, arg2: int, p: int) -> Decomposition:
-    sigma_kind = spec.kind is Kind.SIGMA
-    residue = (p - 1) if sigma_kind else 1
-    shift = 1 if sigma_kind else -1
-    pairs = []
-    for arg in (arg1, arg2):
-        q = next(
-            (prime for prime, e in arith.factorize(arg) if e == 1 and prime % p == residue),
-            None,
-        )
+def _decompose(spec: EquationSpec, args: tuple, facs: tuple, p: int) -> Decomposition:
+    shift = spec.kind.shift
+    parts = []
+    for arg, fac in zip(args, facs):
+        q = next((q for q, e in fac if e == 1 and (q + shift) % p == 0), None)
         if q is None:
             raise IntegrityError(
-                f"no unit-multiplicity prime divisor of {arg} is congruent to "
-                f"{shift * -1:+d} mod {p}"
+                f"no unit-multiplicity prime divisor of {arg} is congruent to {-shift:+d} mod {p}"
             )
-        pairs.append((arg // q, (q + shift) // p))
-    (m1, k1), (m2, k2) = pairs
-    if spec.kind.evaluate(m1) * k1 != spec.kind.evaluate(m2) * k2:
+        # f(m) from the factorization of m = arg / q, which is fac without q
+        f_m = _value(spec.kind, arg // q, [(r, e) for r, e in fac if r != q])
+        parts.append((arg // q, (q + shift) // p, f_m))
+    (m1, k1, f1), (m2, k2, f2) = parts
+    if f1 * k1 != f2 * k2:
         raise IntegrityError(f"decomposition of n with p={p} violates f(m1)*k1 == f(m2)*k2")
     return Decomposition(p, m1, k1, m2, k2)
+
+
+def _bucket(spec: EquationSpec, params: AuditParams, solution: tuple) -> BucketVerdict:
+    """assign_bucket for a solution given as _solve(spec, n)."""
+    args, facs, value = solution
+    if any(smoothness._in_S(fac, params.y) for fac in facs):
+        return BucketVerdict(Bucket.B1, None)
+    p = arith.largest_prime_factor(value)
+    if p < params.y:
+        return BucketVerdict(Bucket.B2, None)
+    dec = _decompose(spec, args, facs, p)
+    bucket = Bucket.B3 if dec.m1 * dec.m2 <= params.x / params.z else Bucket.B4
+    return BucketVerdict(bucket, dec, boundary=(p == params.y))
 
 
 def assign_bucket(spec: EquationSpec, n: int, params: AuditParams) -> BucketVerdict:
     """Bucket for one sporadic solution; B1/B2 carry no decomposition.
 
     Precedence is B1, then B2, then the B3/B4 split on m1*m2 <= x/z.
+    Raises UsageError if n is not a solution.
     """
-    arg1, arg2 = spec.arguments(n)
-    if n < 1 or arg1 < 1 or arg2 < 1:
-        raise UsageError(f"n={n} is not a valid solution")
-    value = spec.kind.evaluate(arg1)
-    if value != spec.kind.evaluate(arg2):
-        raise UsageError(f"n={n} is not a solution of the equation")
-    if smoothness.is_in_S(arg1, params.y) or smoothness.is_in_S(arg2, params.y):
-        return BucketVerdict(Bucket.B1, None)
-    p = arith.largest_prime_factor(value)
-    if p < params.y:
-        return BucketVerdict(Bucket.B2, None)
-    dec = _decompose(spec, arg1, arg2, p)
-    bucket = Bucket.B3 if dec.m1 * dec.m2 <= params.x / params.z else Bucket.B4
-    return BucketVerdict(bucket, dec, boundary=(p == params.y))
+    return _bucket(spec, params, _solve(spec, n))
 
 
 def check_p_divisibility(spec: EquationSpec, verdict: BucketVerdict) -> bool:
@@ -158,14 +155,15 @@ def audit_range(
 ) -> tuple[AuditParams, list[tuple[SolutionRecord, BucketVerdict]]]:
     """Classify all solutions n <= xmax and bucket the sporadic ones.
 
-    Without overrides the parameters default to default_params(xmax).
+    Without overrides the parameters default to default_params(xmax).  Each
+    argument is factored once, for both the classifier and the bucket.
     """
     if y is None and z is not None:
         raise UsageError("a z override requires a y override")
     params = default_params(xmax) if y is None else override_params(xmax, y, z)
     audited = []
     for rec in search(spec, xmax, threads=threads):
-        if classify(spec, rec.n) is not None:
-            continue
-        audited.append((rec, assign_bucket(spec, rec.n, params)))
+        solution = _solve(spec, rec.n)
+        if _witness(spec, rec.n, solution) is None:
+            audited.append((rec, _bucket(spec, params, solution)))
     return params, audited

@@ -70,7 +70,10 @@ def _map_blocks(
 
     Blocks span block_size integers (step when None).  With threads > 1 they
     are scanned concurrently, and the result is the same for any thread count.
+    A range of more than arith._SIEVE_LIMIT integers is refused up front.
     """
+    if hi - lo + 1 > arith._SIEVE_LIMIT:
+        raise CapacityError(f"[{lo}, {hi}] spans more than {arith._SIEVE_LIMIT} integers")
     if threads < 1:
         raise UsageError("threads must be >= 1")
     if threads > _MAX_THREADS:
@@ -119,18 +122,4 @@ def search(
     step = max(1, arith.DEFAULT_SEGMENT // max(spec.a1, spec.a2))
     return _map_blocks(
         partial(_scan_block, spec), _first_valid_n(spec), xmax, step, threads, block_size
-    )
-
-
-def count_raw(spec: EquationSpec, xmax: int, threads: int = 1) -> int:
-    """Number of solutions n <= xmax."""
-    return len(search(spec, xmax, threads=threads))
-
-
-def count_sporadic(spec: EquationSpec, xmax: int, threads: int = 1) -> int:
-    """Number of solutions n <= xmax that the classifier rules non-parametric."""
-    from .parametric import classify  # local import: parametric depends on this module
-
-    return sum(
-        1 for rec in search(spec, xmax, threads=threads) if classify(spec, rec.n) is None
     )

@@ -22,7 +22,7 @@ from math import gcd, prod
 import numpy as np
 
 from . import arith
-from .equations import EquationSpec, Kind, _map_blocks
+from .equations import EquationSpec, Kind, _map_blocks, search
 from .errors import CapacityError, IntegrityError, UsageError
 
 
@@ -47,7 +47,7 @@ class Witness:
 
 
 def _family_if_valid(spec: EquationSpec, k1: int, k2: int) -> Family | None:
-    den = (k2 - k1) if spec.kind is Kind.SIGMA else (k1 - k2)
+    den = (k2 - k1) * spec.kind.shift
     m1, r1 = divmod(k2 * spec.det, spec.a2 * den)
     m2, r2 = divmod(k1 * spec.det, spec.a1 * den)
     if r1 or r2 or m1 < 1 or m2 < 1:
@@ -118,11 +118,11 @@ def generate(family: Family, lmax: int) -> list[Witness]:
     if lmax < 0:
         raise UsageError(f"lmax must be >= 0, got {lmax}")
     spec = family.spec
-    shift = -1 if spec.kind is Kind.SIGMA else 1
+    shift = spec.kind.shift
     out = []
     for l in range(1, lmax + 1):
-        q1 = family.k1 * l + shift
-        q2 = family.k2 * l + shift
+        q1 = family.k1 * l - shift
+        q2 = family.k2 * l - shift
         if not (arith.is_prime(q1) and arith.is_prime(q2)):
             continue
         if family.m1 % q1 == 0 or family.m2 % q2 == 0:
@@ -159,6 +159,45 @@ def _value(kind: Kind, n: int, fac: arith.Factorization) -> int:
     return value
 
 
+def _solve(spec: EquationSpec, n: int) -> tuple[tuple, tuple, int]:
+    """((arg1, arg2), (fac1, fac2), f(arg1)) for the solution n, each argument factored once.
+
+    Raises UsageError if n is not a solution.
+    """
+    if n < 1:
+        raise UsageError(f"n must be >= 1, got {n}")
+    args = spec.arguments(n)
+    if min(args) < 1:
+        raise UsageError(f"n={n} is not a solution of the equation")
+    facs = tuple(arith.factorize(arg) for arg in args)
+    value, other = (_value(spec.kind, arg, fac) for arg, fac in zip(args, facs))
+    if value != other:
+        raise UsageError(f"n={n} is not a solution of the equation")
+    return args, facs, value
+
+
+def _witness(spec: EquationSpec, n: int, solution: tuple) -> Witness | None:
+    """classify's scan of the solution n, given as _solve(spec, n)."""
+    (arg1, arg2), (fac1, fac2), _ = solution
+    shift = spec.kind.shift
+    q1s = [p for p, e in fac1 if e == 1]
+    q2s = [p for p, e in fac2 if e == 1]
+    for q1 in q1s:
+        m1 = arg1 // q1
+        t1 = q1 + shift
+        for q2 in q2s:
+            m2 = arg2 // q2
+            t2 = q2 + shift
+            if spec.a2 * (m1 + shift * spec.b1) != spec.a1 * (m2 + shift * spec.b2):
+                continue
+            if spec.a2 * m1 * t1 != spec.a1 * m2 * t2:
+                continue
+            l = gcd(t1, t2)
+            family = Family(spec, t1 // l, t2 // l, m1, m2)
+            return Witness(family, l, q1, q2, n)
+    return None
+
+
 def classify(spec: EquationSpec, n: int) -> Witness | None:
     """Witness proving the solution n is parametric, or None if it is sporadic.
 
@@ -177,31 +216,12 @@ def classify(spec: EquationSpec, n: int) -> Witness | None:
 
     Raises UsageError if n is not actually a solution.
     """
-    if n < 1:
-        raise UsageError(f"n must be >= 1, got {n}")
-    arg1, arg2 = spec.arguments(n)
-    if arg1 < 1 or arg2 < 1:
-        raise UsageError(f"n={n} is not a solution of the equation")
-    fac1, fac2 = arith.factorize(arg1), arith.factorize(arg2)
-    if _value(spec.kind, arg1, fac1) != _value(spec.kind, arg2, fac2):
-        raise UsageError(f"n={n} is not a solution of the equation")
-    shift = 1 if spec.kind is Kind.SIGMA else -1
-    q1s = [p for p, e in fac1 if e == 1]
-    q2s = [p for p, e in fac2 if e == 1]
-    for q1 in q1s:
-        m1 = arg1 // q1
-        t1 = q1 + shift
-        for q2 in q2s:
-            m2 = arg2 // q2
-            t2 = q2 + shift
-            if spec.a2 * (m1 + shift * spec.b1) != spec.a1 * (m2 + shift * spec.b2):
-                continue
-            if spec.a2 * m1 * t1 != spec.a1 * m2 * t2:
-                continue
-            l = gcd(t1, t2)
-            family = Family(spec, t1 // l, t2 // l, m1, m2)
-            return Witness(family, l, q1, q2, n)
-    return None
+    return _witness(spec, n, _solve(spec, n))
+
+
+def count_sporadic(spec: EquationSpec, xmax: int, threads: int = 1) -> int:
+    """Number of solutions n <= xmax that the classifier rules non-parametric."""
+    return sum(classify(spec, rec.n) is None for rec in search(spec, xmax, threads=threads))
 
 
 def ghp_generate(j: int, k: int, r: int) -> int | None:

@@ -25,29 +25,20 @@ class SmoothReport:
     ratio: float | None
 
 
-# Up-front limits, so that a count which would exhaust memory or sieve for
-# days is refused with CapacityError instead.  _MEMORY_BUDGET caps, in bytes,
-# the one O(x) array a counter allocates: largest_factor_table(2x) for sigma
-# and (x) for phi at 8 B per entry, and count_S's x + 1 bools.  _SIEVE_LIMIT
-# caps x for every counter; psi, which allocates O(segment), meets only this
-# one.  The kernel walks ~4 * 10**7 entries per second (psi(10**7, 100) in
-# 0.25 s on a 2-vCPU Xeon), so x = 10**9 takes ~25 s and the limit ~4 min.
-_MEMORY_BUDGET = 1 << 30
-_SIEVE_LIMIT = 10**10
-
-
 def _check_xy(x: int, y, array_bytes: int = 0) -> None:
+    # array_bytes is the O(x) array the counter allocates itself; a table it
+    # takes from arith is charged against the same budget there
     if x < 1:
         raise UsageError(f"x must be >= 1, got {x}")
     if y < 1:
         raise UsageError(f"y must be >= 1, got {y}")
     if x >= arith.TABLE_LIMIT:
         raise CapacityError(f"x must be < 2**48, got {x}")
-    if x > _SIEVE_LIMIT:
-        raise CapacityError(f"x must be <= {_SIEVE_LIMIT}, got {x}")
-    if array_bytes > _MEMORY_BUDGET:
+    if x > arith._SIEVE_LIMIT:
+        raise CapacityError(f"x must be <= {arith._SIEVE_LIMIT}, got {x}")
+    if array_bytes > arith._MEMORY_BUDGET:
         raise CapacityError(
-            f"x={x} needs a {array_bytes} B array, over the {_MEMORY_BUDGET} B budget"
+            f"x={x} needs a {array_bytes} B array, over the {arith._MEMORY_BUDGET} B budget"
         )
 
 
@@ -72,21 +63,23 @@ def psi(x: int, y: int) -> int:
     return _count(x, lambda pe, p=None: (pe if p is None else p) <= y)
 
 
+def _in_S(fac: arith.Factorization, y) -> bool:
+    """is_in_S for the n whose factorization is fac."""
+    return any(e >= 2 and p**e > y for p, e in fac)
+
+
 def is_in_S(n: int, y) -> bool:
     """True iff some prime power p**a with a >= 2 and p**a > y divides n."""
     if y < 1:
         raise UsageError(f"y must be >= 1, got {y}")
-    for p, e in arith.factorize(n):
-        if e >= 2 and p**e > y:
-            return True
-    return False
+    return _in_S(arith.factorize(n), y)
 
 
 def count_S(x: int, y) -> int:
     """Count of n <= x divisible by some prime power p**a > y with a >= 2."""
     _check_xy(x, y, x + 1)
     mark = np.zeros(x + 1, dtype=bool)
-    for p in arith.primes_upto(math.isqrt(x)):
+    for p in arith._simple_primes(math.isqrt(x)).tolist():
         q = p * p  # smallest admissible power, then grow past y
         while q <= y:
             q *= p
@@ -97,14 +90,14 @@ def count_S(x: int, y) -> int:
 
 def phi_smooth_count(x: int, y: int) -> int:
     """Count of n <= x whose totient has no prime factor > y."""
-    _check_xy(x, y, 8 * (x + 1))
+    _check_xy(x, y)
     rough = arith.largest_factor_table(x) > y  # phi(p**e) <= x
     return _count(x, lambda pe, p=None: ~rough[arith.Kind.PHI.local(pe, p)])
 
 
 def sigma_smooth_count(x: int, y: int) -> int:
     """Count of n <= x whose divisor sum has no prime factor > y."""
-    _check_xy(x, y, 8 * (2 * x + 1))
+    _check_xy(x, y)
     rough = arith.largest_factor_table(2 * x) > y  # sigma(p**e) < 2*p**e <= 2*x
     return _count(x, lambda pe, p=None: ~rough[arith.Kind.SIGMA.local(pe, p)])
 

@@ -27,7 +27,6 @@ from sigmaphi import (
     is_prime,
     phi,
     phi_smooth_count,
-    primes_upto,
     psi,
     search,
     sigma,
@@ -63,7 +62,7 @@ def test_criterion_2_moser_family_soundness():
     started = time.perf_counter()
     pairs = [
         p
-        for p in primes_upto(10_000)
+        for p in arith._simple_primes(10_000).tolist()
         if p % 2 == 1 and is_prime(2 * p - 1)  # p and 2p-1 both odd primes
     ]
     assert pairs, "expected Moser prime pairs below 10^4"

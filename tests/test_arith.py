@@ -15,11 +15,10 @@ from sigmaphi import (
     largest_factor_table,
     largest_prime_factor,
     phi,
-    primes_upto,
     radical,
     sigma,
 )
-from sigmaphi.arith import DEFAULT_SEGMENT
+from sigmaphi.arith import DEFAULT_SEGMENT, _simple_primes
 
 
 @pytest.mark.parametrize(
@@ -157,6 +156,9 @@ def test_prime_value_boundaries():
         assert (s == n + 1) is prime
         assert t <= n - 1
         assert (t == n - 1) is prime
+    for q in (2, 3, 5, 7919, (1 << 61) - 1):
+        assert Kind.SIGMA.local(q) == q + Kind.SIGMA.shift == q + 1
+        assert Kind.PHI.local(q) == q + Kind.PHI.shift == q - 1
 
 
 def test_build_table_spot_values():
@@ -234,6 +236,16 @@ def test_table_validation():
         build_table(1, 10, "sigma")
     with pytest.raises(UsageError):
         build_table(1, 10, Kind.SIGMA, step=0)
+    # outputs over the 1 GiB budget are refused before anything is allocated
+    for kind in Kind:
+        with pytest.raises(CapacityError, match="budget"):
+            build_table(1, 1 << 38, kind)
+    with pytest.raises(CapacityError, match="budget"):
+        build_table(1, 1 << 40, Kind.PHI, step=2)
+    # the budget counts the terms sieved, not the span they cover
+    assert build_table(1, 1 << 40, Kind.PHI, step=1 << 38).size == 4
+    with pytest.raises(CapacityError, match="budget"):
+        largest_factor_table(1 << 38)
 
 
 def test_scalar_validation():
@@ -266,12 +278,12 @@ def test_largest_factor_table_matches_strided_writes():
     # one strided write per prime, ascending, so the largest prime writes last
     limit = 200_000
     old = np.ones(limit + 1, dtype=np.uint64)
-    for p in primes_upto(limit):
+    for p in _simple_primes(limit).tolist():
         old[p::p] = p
     assert np.array_equal(largest_factor_table(limit), old)
 
 
 def test_primes_upto():
-    assert primes_upto(1) == []
-    assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert len(primes_upto(10_000)) == 1229
+    assert _simple_primes(1).tolist() == []
+    assert _simple_primes(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert len(_simple_primes(10_000)) == 1229

@@ -11,11 +11,13 @@ from sigmaphi import (
     IntegrityError,
     Kind,
     UsageError,
+    arith,
     assign_bucket,
     audit_range,
     check_p_divisibility,
     default_params,
     override_params,
+    search,
     sigma,
 )
 
@@ -97,6 +99,10 @@ def test_assign_bucket_rejects_non_solution():
     params = override_params(100, 3.0, 2.0)
     with pytest.raises(UsageError):
         assign_bucket(SIGMA_PLUS_1, 13, params)
+    with pytest.raises(UsageError):
+        assign_bucket(SIGMA_PLUS_1, 0, params)
+    with pytest.raises(UsageError):
+        assign_bucket(EquationSpec(Kind.PHI, 1, -5, 1, 5), 2, params)  # nonpositive argument
 
 
 def test_phi_kind_buckets():
@@ -158,3 +164,17 @@ def test_audit_range_validation():
         audit_range(SIGMA_PLUS_1, 100, z=2.0)  # z without y
     with pytest.raises(DomainError):
         audit_range(SIGMA_PLUS_1, 15)  # defaults need x >= 16
+
+
+@pytest.mark.parametrize("spec", [SIGMA_PLUS_1, PHI_PLUS_1])
+def test_audit_range_factors_each_argument_once(spec, monkeypatch):
+    # two factorizations per hit (classifier and bucket share them), plus one
+    # of f(arg1) for its largest prime factor when the solution is not in B1
+    hits = len(search(spec, 10**5))
+    calls = []
+    factorize = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda n: calls.append(n) or factorize(n))
+    _, audited = audit_range(spec, 10**5, y=3.0, z=2.0)
+    not_b1 = sum(verdict.bucket is not Bucket.B1 for _, verdict in audited)
+    assert hits > 0 and not_b1 > 0
+    assert len(calls) == 2 * hits + not_b1

@@ -188,6 +188,22 @@ def test_capacity_exit_2(capsys):
         assert "x must be <=" in err or "budget" in err
 
 
+def test_bulk_ranges_refused_exit_2(capsys):
+    # past 10**10 integers each command would sieve for hours; refused at once
+    for argv in (
+        ["search", *EQ_SIGMA1, "--max"],
+        ["audit", *EQ_SIGMA1, "--y", "3", "--z", "2", "--max"],
+        ["audit", *EQ_PHI1, "--max"],
+        ["multiperfect", "--max"],
+        ["families", *EQ_SIGMA22, "--kmax"],
+    ):
+        start = time.perf_counter()
+        code, out, err = invoke([*argv, str(10**10 + 1), "--threads", "2"], capsys)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2, argv
+        assert out == "" and "spans more than 10000000000 integers" in err
+
+
 def test_classify_sigma_past_64_bits_exit_2(capsys):
     code, _, err = invoke(["classify", *EQ_SIGMA1, "--n", "5071080123293184000"], capsys)
     assert code == 2
@@ -209,3 +225,16 @@ def test_thread_count_does_not_change_output(capsys):
     multi = invoke(["search", *EQ_SIGMA1, "--max", "5000", "--threads", "4"], capsys)
     assert base[0] == multi[0] == 0
     assert base[1] == multi[1]
+
+
+def test_audit_thread_count_does_not_change_output(capsys):
+    argv = ["audit", *EQ_SIGMA1, "--max", "20000", "--y", "3", "--z", "2"]
+    base = invoke([*argv, "--threads", "1"], capsys)
+    multi = invoke([*argv, "--threads", "3"], capsys)
+    assert base[0] == multi[0] == 0
+    assert base[1] == multi[1] and base[1].count("\n") > 10
+
+    def notes(err):
+        return [line for line in err.splitlines() if not line.startswith("{")]
+
+    assert notes(base[2]) == notes(multi[2]) != []

@@ -7,12 +7,12 @@ from sigmaphi import (
     Kind,
     UsageError,
     classify,
-    count_raw,
     count_sporadic,
     phi,
     search,
     sigma,
 )
+from sigmaphi.equations import _map_blocks
 
 PHI_PLUS_1 = EquationSpec(Kind.PHI, 1, 0, 1, 1)
 PHI_PLUS_2 = EquationSpec(Kind.PHI, 1, 0, 1, 2)
@@ -49,7 +49,7 @@ def test_phi_plus_two_matches_brute():
     [(PHI_PLUS_1, 500, 8), (PHI_PLUS_1, 2, 1), (SIGMA_PLUS_1, 13, 0)],
 )
 def test_count_raw_examples(spec, xmax, expected):
-    assert count_raw(spec, xmax) == expected
+    assert len(search(spec, xmax)) == expected
 
 
 def test_count_sporadic_phi_plus_one():
@@ -58,7 +58,7 @@ def test_count_sporadic_phi_plus_one():
 
 
 def test_count_sporadic_excludes_parametric():
-    raw = count_raw(SIGMA_PLUS_22, 500)
+    raw = len(search(SIGMA_PLUS_22, 500))
     sporadic = count_sporadic(SIGMA_PLUS_22, 500)
     assert classify(SIGMA_PLUS_22, 476) is not None
     assert sporadic <= raw
@@ -135,3 +135,9 @@ def test_search_validation():
         search(PHI_PLUS_1, 10, threads=0)
     with pytest.raises(CapacityError):
         search(EquationSpec(Kind.PHI, 1 << 30, 0, 1, 1), 1 << 20)
+    # the block map refuses any range of more than 10**10 integers
+    with pytest.raises(CapacityError):
+        search(PHI_PLUS_1, 10**10 + 1)
+    assert _map_blocks(lambda block: [], 1, 10**10, 1 << 20, 1) == []
+    with pytest.raises(CapacityError):
+        _map_blocks(lambda block: [], 0, 10**10, 1 << 20, 1)
