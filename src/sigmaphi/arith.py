@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -69,12 +69,10 @@ _RHO_BATCH = 128
 Factorization = list[tuple[int, int]]
 
 
-def _check_table_bytes(entries: int) -> None:
-    if 8 * entries > _MEMORY_BUDGET:
-        raise CapacityError(
-            f"a table of {entries} entries needs {8 * entries} B, "
-            f"over the {_MEMORY_BUDGET} B budget"
-        )
+def _check_bytes(nbytes: int) -> None:
+    """Refuse, with CapacityError, an array of nbytes over _MEMORY_BUDGET."""
+    if nbytes > _MEMORY_BUDGET:
+        raise CapacityError(f"an array of {nbytes} B is over the {_MEMORY_BUDGET} B budget")
 
 
 def _check_scalar(n: int, name: str = "n", minimum: int = 1) -> None:
@@ -175,22 +173,30 @@ def factorize(n: int) -> Factorization:
     return out
 
 
+def _value(kind: Kind, n: int, fac: Factorization) -> int:
+    """f(n) from the factorization fac of n, exact on Python ints.
+
+    The scalar evaluator: sigma(p**e) = (p**(e+1) - 1)/(p - 1) and
+    phi(p**e) = p**(e-1)*(p - 1), closed forms kept apart from the sieve's
+    rule Kind.local so that each checks the other.
+    """
+    if kind is Kind.SIGMA:
+        value = prod((p ** (e + 1) - 1) // (p - 1) for p, e in fac)
+    else:
+        value = prod(p ** (e - 1) * (p - 1) for p, e in fac)
+    if value > U64_MAX:
+        raise CapacityError(f"{kind.value}({n}) does not fit in 64 bits")
+    return value
+
+
 def sigma(n: int) -> int:
     """Sum of all positive divisors of n."""
-    total = 1
-    for p, e in factorize(n):
-        total *= (p ** (e + 1) - 1) // (p - 1)
-    if total > U64_MAX:
-        raise CapacityError(f"sigma({n}) does not fit in 64 bits")
-    return total
+    return _value(Kind.SIGMA, n, factorize(n))
 
 
 def phi(n: int) -> int:
     """Euler totient of n; phi(1) = 1."""
-    total = 1
-    for p, e in factorize(n):
-        total *= p ** (e - 1) * (p - 1)
-    return total
+    return _value(Kind.PHI, n, factorize(n))
 
 
 class Kind(enum.Enum):
@@ -198,7 +204,7 @@ class Kind(enum.Enum):
     PHI = "phi"
 
     def evaluate(self, n: int) -> int:
-        return sigma(n) if self is Kind.SIGMA else phi(n)
+        return _value(self, n, factorize(n))
 
     @property
     def shift(self) -> int:
@@ -206,9 +212,8 @@ class Kind(enum.Enum):
         return 1 if self is Kind.SIGMA else -1
 
     def local(self, pe: np.ndarray, p: int | None = None) -> np.ndarray:
-        """f at pe, powers of the prime p, or 1 and primes if p is None.
-
-        pe is a uint64 array or a Python int; ints stay exact at any size.
+        """The sieve's rule: f at the uint64 array pe of powers of the prime p,
+        or of 1 and primes if p is None.  Scalars go through _value instead.
         """
         if self is Kind.SIGMA:
             # 1 + p + ... + p**e, without forming p**(e+1), which can pass 2**64
@@ -295,36 +300,28 @@ def _sieve_segment(
     out *= local(factored)
 
 
-def build_table(
-    lo: int,
-    hi: int,
-    kind: Kind,
-    segment_size: int = DEFAULT_SEGMENT,
-    step: int = 1,
-) -> np.ndarray:
+def build_table(lo: int, hi: int, kind: Kind, step: int = 1) -> np.ndarray:
     """uint64 array of f(lo), f(lo + step), ... up to hi, indexed by (n - lo) // step.
 
     f is sigma or phi.  Only the terms of the progression are sieved, so a
     table of every a-th integer costs about 1/a of the dense one.  Memory is
     O((hi - lo) / step) for the output plus O(sqrt(hi)) for base primes;
-    construction walks the terms in segments of `segment_size` entries.  An
+    construction walks the terms in segments of DEFAULT_SEGMENT entries.  An
     output over _MEMORY_BUDGET bytes is refused with CapacityError.
     """
     if lo < 1 or hi < lo:
         raise UsageError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
     if hi >= TABLE_LIMIT:
         raise CapacityError(f"hi must be < 2**48, got {hi}")
-    if segment_size < 1:
-        raise UsageError("segment_size must be >= 1")
     if step < 1:
         raise UsageError(f"step must be >= 1, got {step}")
     if not isinstance(kind, Kind):
         raise UsageError(f"kind must be Kind.SIGMA or Kind.PHI, got {kind!r}")
-    _check_table_bytes((hi - lo) // step + 1)
+    _check_bytes(8 * ((hi - lo) // step + 1))
     primes = _simple_primes(isqrt(hi))
     out = np.empty((hi - lo) // step + 1, dtype=np.uint64)
-    for i in range(0, out.size, segment_size):
-        _sieve_segment(lo + i * step, primes, kind.local, out[i : i + segment_size], step)
+    for i in range(0, out.size, DEFAULT_SEGMENT):
+        _sieve_segment(lo + i * step, primes, kind.local, out[i : i + DEFAULT_SEGMENT], step)
     return out
 
 
@@ -337,7 +334,7 @@ def largest_factor_table(limit: int) -> np.ndarray:
     """
     if limit < 1:
         raise UsageError(f"limit must be >= 1, got {limit}")
-    _check_table_bytes(limit + 1)
+    _check_bytes(8 * (limit + 1))
     out = np.ones(limit + 1, dtype=np.uint64)
     primes = _simple_primes(limit)
     small = np.searchsorted(primes, isqrt(limit), side="right")

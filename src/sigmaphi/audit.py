@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import arith, smoothness
 from .equations import EquationSpec, SolutionRecord, search
 from .errors import DomainError, IntegrityError, UsageError
-from .parametric import _solve, _value, _witness
+from .parametric import _solve, _witness
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def _decompose(spec: EquationSpec, args: tuple, facs: tuple, p: int) -> Decompos
                 f"no unit-multiplicity prime divisor of {arg} is congruent to {-shift:+d} mod {p}"
             )
         # f(m) from the factorization of m = arg / q, which is fac without q
-        f_m = _value(spec.kind, arg // q, [(r, e) for r, e in fac if r != q])
+        f_m = arith._value(spec.kind, arg // q, [(r, e) for r, e in fac if r != q])
         parts.append((arg // q, (q + shift) // p, f_m))
     (m1, k1, f1), (m2, k2, f2) = parts
     if f1 * k1 != f2 * k2:

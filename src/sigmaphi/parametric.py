@@ -17,7 +17,7 @@ equation, because f(m_i*q_i) = f(m_i)*k_i*l on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd
 
 import numpy as np
 
@@ -113,12 +113,19 @@ def generate(family: Family, lmax: int) -> list[Witness]:
 
     l is accepted when q_i = k_i*l -+ 1 are prime, q_i does not divide m_i,
     a1 divides m1*q1 - b1, and the resulting n is >= 1.  Every witness is
-    re-verified by direct evaluation before being returned.
+    re-verified by direct evaluation before being returned.  An lmax over
+    arith._SIEVE_LIMIT, or one at which q_i reaches 2**63, is refused with
+    CapacityError before the scan starts.
     """
     if lmax < 0:
         raise UsageError(f"lmax must be >= 0, got {lmax}")
+    if lmax > arith._SIEVE_LIMIT:
+        raise CapacityError(f"lmax must be <= {arith._SIEVE_LIMIT}, got {lmax}")
     spec = family.spec
     shift = spec.kind.shift
+    # is_prime refuses q >= 2**63; refuse now rather than hours into the loop
+    if max(family.k1, family.k2) * lmax - shift >= arith.SCALAR_LIMIT:
+        raise CapacityError(f"q = k*l{-shift:+d} reaches 2**63 at l = lmax = {lmax}")
     out = []
     for l in range(1, lmax + 1):
         q1 = family.k1 * l - shift
@@ -151,14 +158,6 @@ def verify_witness(w: Witness) -> bool:
     return spec.kind.evaluate(arg1) == spec.kind.evaluate(arg2)
 
 
-def _value(kind: Kind, n: int, fac: arith.Factorization) -> int:
-    """f(n) from the factorization fac of n, exact on Python ints."""
-    value = prod(kind.local(p**e, p) for p, e in fac)
-    if value > arith.U64_MAX:
-        raise CapacityError(f"{kind.value}({n}) does not fit in 64 bits")
-    return value
-
-
 def _solve(spec: EquationSpec, n: int) -> tuple[tuple, tuple, int]:
     """((arg1, arg2), (fac1, fac2), f(arg1)) for the solution n, each argument factored once.
 
@@ -170,7 +169,7 @@ def _solve(spec: EquationSpec, n: int) -> tuple[tuple, tuple, int]:
     if min(args) < 1:
         raise UsageError(f"n={n} is not a solution of the equation")
     facs = tuple(arith.factorize(arg) for arg in args)
-    value, other = (_value(spec.kind, arg, fac) for arg, fac in zip(args, facs))
+    value, other = (arith._value(spec.kind, arg, fac) for arg, fac in zip(args, facs))
     if value != other:
         raise UsageError(f"n={n} is not a solution of the equation")
     return args, facs, value
@@ -184,14 +183,11 @@ def _witness(spec: EquationSpec, n: int, solution: tuple) -> Witness | None:
     q2s = [p for p, e in fac2 if e == 1]
     for q1 in q1s:
         m1 = arg1 // q1
-        t1 = q1 + shift
         for q2 in q2s:
             m2 = arg2 // q2
-            t2 = q2 + shift
             if spec.a2 * (m1 + shift * spec.b1) != spec.a1 * (m2 + shift * spec.b2):
                 continue
-            if spec.a2 * m1 * t1 != spec.a1 * m2 * t2:
-                continue
+            t1, t2 = q1 + shift, q2 + shift
             l = gcd(t1, t2)
             family = Family(spec, t1 // l, t2 // l, m1, m2)
             return Witness(family, l, q1, q2, n)
@@ -202,12 +198,17 @@ def classify(spec: EquationSpec, n: int) -> Witness | None:
     """Witness proving the solution n is parametric, or None if it is sporadic.
 
     Scans unit-multiplicity prime divisors q1 | arg1, q2 | arg2 and accepts
-    the first (ascending) pair satisfying both identities:
+    the first (ascending) pair satisfying the linear identity
 
-      linear:   a2*(m1 + b1) == a1*(m2 + b2)      (phi kind: m_i - b_i)
-      ratio:    a2*m1*(q1+1) == a1*m2*(q2+1)      (phi kind: q_i - 1)
+      a2*(m1 + b1) == a1*(m2 + b2)      (phi kind: m_i - b_i)
 
-    where m_i = arg_i / q_i.  The family's divisor identity
+    where m_i = arg_i / q_i.  It implies the family's ratio identity
+    a2*m1*(q1+1) == a1*m2*(q2+1) (phi kind: q_i - 1), and conversely: with
+    s = +1 (phi: -1) and m_i*q_i = a_i*n + b_i,
+
+      a2*m1*(q1+s) - a1*m2*(q2+s) = s*(a2*(m1 + s*b1) - a1*(m2 + s*b2)).
+
+    The family's divisor identity
     (q1+1)*sigma(m1) == (q2+1)*sigma(m2) (phi kind analogous) holds for every
     such pair: q_i || arg_i gives sigma(arg_i) = (q_i+1)*sigma(m_i), and
     sigma(arg1) == sigma(arg2) is checked first.  The returned witness uses

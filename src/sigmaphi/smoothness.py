@@ -25,9 +25,7 @@ class SmoothReport:
     ratio: float | None
 
 
-def _check_xy(x: int, y, array_bytes: int = 0) -> None:
-    # array_bytes is the O(x) array the counter allocates itself; a table it
-    # takes from arith is charged against the same budget there
+def _check_xy(x: int, y) -> None:
     if x < 1:
         raise UsageError(f"x must be >= 1, got {x}")
     if y < 1:
@@ -36,10 +34,6 @@ def _check_xy(x: int, y, array_bytes: int = 0) -> None:
         raise CapacityError(f"x must be < 2**48, got {x}")
     if x > arith._SIEVE_LIMIT:
         raise CapacityError(f"x must be <= {arith._SIEVE_LIMIT}, got {x}")
-    if array_bytes > arith._MEMORY_BUDGET:
-        raise CapacityError(
-            f"x={x} needs a {array_bytes} B array, over the {arith._MEMORY_BUDGET} B budget"
-        )
 
 
 def _count(x: int, local) -> int:
@@ -77,7 +71,8 @@ def is_in_S(n: int, y) -> bool:
 
 def count_S(x: int, y) -> int:
     """Count of n <= x divisible by some prime power p**a > y with a >= 2."""
-    _check_xy(x, y, x + 1)
+    _check_xy(x, y)
+    arith._check_bytes(x + 1)  # the 1 B per entry marks
     mark = np.zeros(x + 1, dtype=bool)
     for p in arith._simple_primes(math.isqrt(x)).tolist():
         q = p * p  # smallest admissible power, then grow past y

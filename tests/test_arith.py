@@ -9,6 +9,7 @@ from sigmaphi import (
     CapacityError,
     Kind,
     UsageError,
+    arith,
     build_table,
     factorize,
     is_prime,
@@ -193,7 +194,7 @@ STEPS = [*range(1, 41), 64, 81, 210, 1024, 2310]
 
 
 @pytest.mark.parametrize("step", STEPS)
-def test_stepped_table_matches_dense(step):
+def test_stepped_table_matches_dense(step, monkeypatch):
     # lo coprime to step, a multiple of it, and sharing only part of its
     # factors: each prime of step then divides no term in some progressions
     # and every term in others
@@ -202,7 +203,9 @@ def test_stepped_table_matches_dense(step):
         for kind in Kind:
             dense = build_table(lo, hi, kind)[::step]
             for seg in (1, 7, DEFAULT_SEGMENT):
-                stepped = build_table(lo, hi, kind, segment_size=seg, step=step)
+                monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
+                stepped = build_table(lo, hi, kind, step=step)
+                monkeypatch.undo()
                 assert np.array_equal(stepped, dense), (lo, kind, seg)
 
 
@@ -218,11 +221,13 @@ def test_stepped_table_at_capacity(step):
         assert t == prod(p ** (e - 1) * (p - 1) for p, e in fac), n
 
 
-def test_segment_size_independence():
+def test_segment_size_independence(monkeypatch):
     for kind in Kind:
         base = build_table(1, 5000, kind)
         for seg in (1, 7, 64, 4096):
-            assert np.array_equal(base, build_table(1, 5000, kind, segment_size=seg))
+            monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
+            assert np.array_equal(base, build_table(1, 5000, kind))
+            monkeypatch.undo()
 
 
 def test_table_validation():
@@ -246,6 +251,8 @@ def test_table_validation():
     assert build_table(1, 1 << 40, Kind.PHI, step=1 << 38).size == 4
     with pytest.raises(CapacityError, match="budget"):
         largest_factor_table(1 << 38)
+    with pytest.raises(UsageError):
+        largest_factor_table(0)
 
 
 def test_scalar_validation():

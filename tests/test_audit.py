@@ -53,6 +53,8 @@ def test_override_params():
         override_params(100, 1.0)
     with pytest.raises(DomainError):
         override_params(100, 3.0, 200.0)
+    with pytest.raises(UsageError):
+        override_params(0, 3.0)
 
 
 def test_bucket_b3_decomposition_for_14():

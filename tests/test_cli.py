@@ -1,6 +1,7 @@
 import json
 import time
 
+from sigmaphi import bound_bfps
 from sigmaphi.cli import run
 
 EQ_PHI1 = ["--fn", "phi", "--a1", "1", "--b1", "0", "--a2", "1", "--b2", "1"]
@@ -109,6 +110,24 @@ def test_smooth_output(capsys):
     assert "leading-order" in err
 
 
+def test_smooth_bfps_bounds(capsys):
+    for which in ("phi", "sigma"):
+        code, out, err = invoke(
+            ["smooth", "--which", which, "--x", "100000", "--y", "10", "--bounds", "--json"],
+            capsys,
+        )
+        assert code == 0, which
+        (row,) = json.loads(out)
+        assert row["bound"] == bound_bfps(100000, 10)
+        assert row["ratio"] == row["count"] / row["bound"]
+        assert "leading-order" in err
+        # u = log x / log y = 2 <= e is outside bound_bfps's domain
+        code, out, err = invoke(
+            ["smooth", "--which", which, "--x", "100", "--y", "10", "--bounds"], capsys
+        )
+        assert code == 2 and out == "" and "u > e" in err
+
+
 def test_multiperfect(capsys):
     code, out, _ = invoke(["multiperfect", "--max", "100000"], capsys)
     assert code == 0
@@ -202,6 +221,22 @@ def test_bulk_ranges_refused_exit_2(capsys):
         assert time.perf_counter() - start < 1.0, argv
         assert code == 2, argv
         assert out == "" and "spans more than 10000000000 integers" in err
+
+
+def test_generate_lmax_refused_exit_2(capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(
+        ["generate", *EQ_SIGMA22, "--k1", "3", "--k2", "14", "--lmax", str(10**10 + 1)], capsys
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == "" and "lmax must be <= 10000000000" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = invoke(["--help"], capsys)
+    assert code == 0
+    assert out.startswith("usage: sigmaphi")
 
 
 def test_classify_sigma_past_64_bits_exit_2(capsys):

@@ -8,9 +8,11 @@ import brute
 from sigmaphi import (
     CapacityError,
     EquationSpec,
+    Family,
     Kind,
     UsageError,
     Witness,
+    arith,
     classify,
     consecutive_multiperfect_search,
     derive_family,
@@ -67,6 +69,8 @@ def test_enumerate_families_examples():
     fams = enumerate_families(PHI_PLUS_2, 10)
     assert [(f.k1, f.k2, f.m1, f.m2) for f in fams] == [(2, 1, 2, 4)]
     assert enumerate_families(SIGMA_PLUS_1, 1000) == []
+    with pytest.raises(UsageError):
+        enumerate_families(SIGMA_PLUS_22, 1)
 
 
 def test_enumerate_families_sorted_and_coprime():
@@ -135,12 +139,57 @@ def test_generate_sigma_family():
     assert generate(fam, 0) == []
 
 
+@pytest.mark.parametrize(
+    "spec,k1,k2",
+    [
+        # m1*q1 - b1 = 6*q1 + 7 is odd, so a1 = 2 divides it at no l
+        (EquationSpec(Kind.SIGMA, 2, -7, 4, -3), 1, 12),
+        # l = 1 gives q1 = 3, q2 = 2 and n = 0
+        (EquationSpec(Kind.PHI, 2, 3, 3, 6), 2, 1),
+    ],
+)
+def test_generate_affine_matches_brute_scan(spec, k1, k2):
+    # the solutions of the family's shape, found by a brute scan over n
+    fam = derive_family(spec, k1, k2)
+    lmax, shift = 199, spec.kind.shift
+    nmax = (fam.m1 * (k1 * lmax - shift) - spec.b1) // spec.a1
+    expected = []
+    for n in brute.solutions(spec.kind.value, spec.a1, spec.b1, spec.a2, spec.b2, nmax):
+        arg1, arg2 = spec.arguments(n)
+        q1, q2 = arg1 // fam.m1, arg2 // fam.m2
+        l, r = divmod(q1 + shift, k1)
+        if (q1 * fam.m1, q2 * fam.m2, r) != (arg1, arg2, 0) or q2 != k2 * l - shift:
+            continue
+        if 1 <= l <= lmax and brute.is_prime(q1) and brute.is_prime(q2):
+            if fam.m1 % q1 and fam.m2 % q2:
+                expected.append((l, q1, q2, n))
+    assert [(w.l, w.q1, w.q2, w.n) for w in generate(fam, lmax)] == expected
+
+
+def test_generate_refuses_q_past_scalar_range(monkeypatch):
+    # refused before the loop, where is_prime would raise only once it got there
+    monkeypatch.setattr(arith, "is_prime", lambda q: pytest.fail(f"is_prime({q}) ran"))
+    with pytest.raises(CapacityError):
+        generate(derive_family(SIGMA_PLUS_22, 3, 14), 10**10 + 1)
+    for kind in Kind:
+        spec = EquationSpec(kind, 1, 0, 1, 22)
+        with pytest.raises(CapacityError, match="2\\*\\*63"):
+            generate(Family(spec, 3, 1 << 62, 28, 6), 3)
+    # the largest q is k2*lmax - 1 for sigma and k2*lmax + 1 for phi
+    with pytest.raises(CapacityError):
+        generate(Family(PHI_PLUS_2, 2, (1 << 63) - 1, 2, 4), 1)
+    monkeypatch.setattr(arith, "is_prime", lambda q: False)
+    assert generate(Family(PHI_PLUS_2, 2, (1 << 63) - 2, 2, 4), 1) == []
+    assert generate(Family(SIGMA_PLUS_22, 3, 1 << 62, 28, 6), 2) == []
+
+
 def test_verify_witness_and_tampering():
     fam = derive_family(SIGMA_PLUS_22, 3, 14)
     w = generate(fam, 10)[0]
     assert verify_witness(w)
     assert not verify_witness(dataclasses.replace(w, n=w.n + 1))
     assert not verify_witness(dataclasses.replace(w, q1=w.q1 + 2))
+    assert not verify_witness(dataclasses.replace(w, n=-22))  # arg1 < 1
 
 
 def test_classify_examples():
@@ -241,6 +290,14 @@ def test_multiperfect_search_small():
     assert consecutive_multiperfect_search(1) == []
     assert consecutive_multiperfect_search(5) == []
     assert consecutive_multiperfect_search(10_000) == []
+
+
+def test_multiperfect_search_validation():
+    with pytest.raises(UsageError):
+        consecutive_multiperfect_search(0)
+    # the m + 1 lookahead would read sigma(2**48), past the table cap
+    with pytest.raises(CapacityError):
+        consecutive_multiperfect_search((1 << 48) - 1)
 
 
 def test_multiperfect_search_blocks_match():

@@ -114,6 +114,9 @@ def test_bound_bfps():
     assert bound_bfps(x, y) == pytest.approx(x * math.exp(-u * math.log(math.log(u))))
     with pytest.raises(DomainError):
         bound_bfps(100, 10)  # u = 2 <= e makes log log u nonpositive
+    for x, y in ((1, 10), (10**9, 1)):
+        with pytest.raises(DomainError):
+            bound_bfps(x, y)
 
 
 def test_bound_main():
