@@ -75,11 +75,11 @@ def _check_bytes(nbytes: int) -> None:
         raise CapacityError(f"an array of {nbytes} B is over the {_MEMORY_BUDGET} B budget")
 
 
-def _check_scalar(n: int, name: str = "n", minimum: int = 1) -> None:
+def _check_scalar(n: int, minimum: int = 1) -> None:
     if n < minimum:
-        raise UsageError(f"{name} must be >= {minimum}, got {n}")
+        raise UsageError(f"n must be >= {minimum}, got {n}")
     if n >= SCALAR_LIMIT:
-        raise CapacityError(f"{name} must be < 2**63, got {n}")
+        raise CapacityError(f"n must be < 2**63, got {n}")
 
 
 def is_prime(n: int) -> bool:
@@ -237,8 +237,6 @@ def radical(n: int) -> int:
 
 def _simple_primes(limit: int) -> np.ndarray:
     """Primes <= limit as an int64 array (plain boolean sieve)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, isqrt(limit) + 1):
@@ -336,13 +334,11 @@ def largest_factor_table(limit: int) -> np.ndarray:
         raise UsageError(f"limit must be >= 1, got {limit}")
     _check_bytes(8 * (limit + 1))
     out = np.ones(limit + 1, dtype=np.uint64)
-    primes = _simple_primes(limit)
-    small = np.searchsorted(primes, isqrt(limit), side="right")
-    for p in primes[:small].tolist():
+    for p in _simple_primes(isqrt(limit)).tolist():
         out[p::p] = p  # ascending primes: the last write wins
-    # n <= limit has at most one prime factor above isqrt(limit), and it is
-    # the largest: write each such p at its multiples p*m, one m at a time
-    large = primes[small:]
+    # the n > 1 still at 1 are the primes above isqrt(limit); n <= limit has at
+    # most one such factor, its largest: write each at its multiples p*m, m by m
+    large = np.flatnonzero(out[2:] == 1) + 2
     for m in count(1):
         ps = large[: np.searchsorted(large, limit // m, side="right")]
         if ps.size == 0:

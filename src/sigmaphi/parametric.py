@@ -26,6 +26,12 @@ from .equations import EquationSpec, Kind, _map_blocks, search
 from .errors import CapacityError, IntegrityError, UsageError
 
 
+# Most (k1, k2) candidates one enumerate_families call may test.  The scan is
+# pure Python at 3-8 us per candidate on a 2-vCPU Xeon, so this is ~4 min,
+# the time arith._SIEVE_LIMIT allows a sieve.
+_CANDIDATE_LIMIT = 3 * 10**7
+
+
 @dataclass(frozen=True)
 class Family:
     spec: EquationSpec
@@ -83,11 +89,15 @@ def enumerate_families(spec: EquationSpec, kmax: int, threads: int = 1) -> list[
     """All families with max(k1, k2) <= kmax, sorted by (k1, k2).
 
     Coprimality of (k1, k2) forces |k2 - k1| to divide a1*b2 - a2*b1, so only
-    gaps dividing that cross term are scanned instead of all pairs.
+    gaps dividing that cross term are scanned instead of all pairs.  A kmax
+    with more than _CANDIDATE_LIMIT candidates is refused with CapacityError.
     """
     if kmax < 2:
         raise UsageError(f"kmax must be >= 2, got {kmax}")
     gaps = _divisors(abs(spec.det))
+    candidates = 2 * kmax * len(gaps)
+    if candidates > _CANDIDATE_LIMIT:
+        raise CapacityError(f"kmax={kmax} gives {candidates} candidates, over {_CANDIDATE_LIMIT}")
 
     def scan(bounds: tuple[int, int]) -> list[Family]:
         lo, hi = bounds
@@ -102,8 +112,8 @@ def enumerate_families(spec: EquationSpec, kmax: int, threads: int = 1) -> list[
                         found.append(fam)
         return found
 
-    step = -(kmax // -max(threads, 1))  # threads < 1 is refused by _map_blocks
-    families = _map_blocks(scan, 1, kmax, step, threads)
+    span = -(kmax // -max(threads, 1))  # threads < 1 is refused by _map_blocks
+    families = _map_blocks(scan, 1, kmax, span, threads)
     families.sort(key=lambda f: (f.k1, f.k2))
     return families
 
@@ -250,9 +260,7 @@ def ghp_generate(j: int, k: int, r: int) -> int | None:
     return n
 
 
-def consecutive_multiperfect_search(
-    xmax: int, threads: int = 1, block_size: int | None = None
-) -> list[int]:
+def consecutive_multiperfect_search(xmax: int, threads: int = 1) -> list[int]:
     """All m <= xmax with m | sigma(m) and (m+1) | sigma(m+1), ascending."""
     if xmax < 1:
         raise UsageError(f"xmax must be >= 1, got {xmax}")
@@ -267,4 +275,4 @@ def consecutive_multiperfect_search(
         both = divisible[:-1] & divisible[1:]
         return [lo + int(i) for i in np.nonzero(both)[0]]
 
-    return _map_blocks(scan, 1, xmax, arith.DEFAULT_SEGMENT, threads, block_size)
+    return _map_blocks(scan, 1, xmax, arith.DEFAULT_SEGMENT, threads)

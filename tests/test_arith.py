@@ -277,7 +277,8 @@ def test_largest_factor_table():
     assert lpf[1] == 1
     for n in range(1, 20_001):
         assert int(lpf[n]) == brute.largest_prime_factor(n)
-    for limit in (1, 2, 3, 4, 24, 25, 26):
+    # limits 1-3 have no base prime <= isqrt(limit): every n > 1 is read off as prime
+    for limit in range(1, 65):
         assert largest_factor_table(limit).tolist() == lpf[: limit + 1].tolist()
 
 
@@ -291,6 +292,6 @@ def test_largest_factor_table_matches_strided_writes():
 
 
 def test_primes_upto():
-    assert _simple_primes(1).tolist() == []
+    assert _simple_primes(0).tolist() == _simple_primes(1).tolist() == []
     assert _simple_primes(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(_simple_primes(10_000)) == 1229

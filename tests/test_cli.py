@@ -209,18 +209,28 @@ def test_capacity_exit_2(capsys):
 
 def test_bulk_ranges_refused_exit_2(capsys):
     # past 10**10 integers each command would sieve for hours; refused at once
-    for argv in (
-        ["search", *EQ_SIGMA1, "--max"],
-        ["audit", *EQ_SIGMA1, "--y", "3", "--z", "2", "--max"],
-        ["audit", *EQ_PHI1, "--max"],
-        ["multiperfect", "--max"],
-        ["families", *EQ_SIGMA22, "--kmax"],
+    spans = "spans more than 10000000000 integers"
+    for argv, message in (
+        (["search", *EQ_SIGMA1, "--max"], spans),
+        (["audit", *EQ_SIGMA1, "--y", "3", "--z", "2", "--max"], spans),
+        (["audit", *EQ_PHI1, "--max"], spans),
+        (["multiperfect", "--max"], spans),
+        # families is pure Python per (k1, k2) candidate, so it is capped far sooner
+        (["families", *EQ_SIGMA22, "--kmax"], "candidates, over 30000000"),
     ):
         start = time.perf_counter()
         code, out, err = invoke([*argv, str(10**10 + 1), "--threads", "2"], capsys)
         assert time.perf_counter() - start < 1.0, argv
         assert code == 2, argv
-        assert out == "" and "spans more than 10000000000 integers" in err
+        assert out == "" and message in err
+
+
+def test_generate_negative_lmax_exit_1(capsys):
+    code, out, err = invoke(
+        ["generate", *EQ_SIGMA22, "--k1", "3", "--k2", "14", "--lmax", "-1"], capsys
+    )
+    assert code == 1
+    assert out == "" and "lmax must be >= 0" in err
 
 
 def test_generate_lmax_refused_exit_2(capsys):

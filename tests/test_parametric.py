@@ -19,6 +19,7 @@ from sigmaphi import (
     enumerate_families,
     generate,
     ghp_generate,
+    parametric,
     phi,
     radical,
     search,
@@ -137,6 +138,8 @@ def test_generate_sigma_family():
     assert [(w.l, w.q1, w.q2, w.n) for w in witnesses] == [(6, 17, 83, 476), (10, 29, 139, 812)]
     assert sigma(476) == sigma(498) == 1008
     assert generate(fam, 0) == []
+    with pytest.raises(UsageError):
+        generate(fam, -1)
 
 
 @pytest.mark.parametrize(
@@ -164,6 +167,14 @@ def test_generate_affine_matches_brute_scan(spec, k1, k2):
             if fam.m1 % q1 and fam.m2 % q2:
                 expected.append((l, q1, q2, n))
     assert [(w.l, w.q1, w.q2, w.n) for w in generate(fam, lmax)] == expected
+
+
+def test_enumerate_families_refuses_past_candidate_limit(monkeypatch):
+    # sigma shift 22 has the 4 gaps 1, 2, 11, 22: 8 candidates per k1
+    monkeypatch.setattr(parametric, "_CANDIDATE_LIMIT", 160)
+    assert [(f.k1, f.k2) for f in enumerate_families(SIGMA_PLUS_22, 20)] == [(3, 14)]
+    with pytest.raises(CapacityError, match="kmax=21 gives 168 candidates, over 160"):
+        enumerate_families(SIGMA_PLUS_22, 21)
 
 
 def test_generate_refuses_q_past_scalar_range(monkeypatch):
@@ -300,16 +311,18 @@ def test_multiperfect_search_validation():
         consecutive_multiperfect_search((1 << 48) - 1)
 
 
-def test_multiperfect_search_blocks_match():
+def test_multiperfect_search_blocks_match(monkeypatch):
     # block boundaries must not lose the m+1 lookahead
     ms = []
     for m in range(1, 2000):
         if brute.sigma(m) % m == 0 and brute.sigma(m + 1) % (m + 1) == 0:
             ms.append(m)
     assert consecutive_multiperfect_search(1999) == ms
-    assert consecutive_multiperfect_search(1999, threads=3, block_size=150) == ms
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 150)
+    assert consecutive_multiperfect_search(1999, threads=3) == ms
     # the perfect number 6 at a block edge still gets its m+1 lookahead
-    assert consecutive_multiperfect_search(6, block_size=6) == []
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 6)
+    assert consecutive_multiperfect_search(6) == []
 
 
 def test_block_map_validation_is_shared():
@@ -322,6 +335,5 @@ def test_block_map_validation_is_shared():
     for call in calls.values():
         with pytest.raises(UsageError):
             call(threads=0)
-    for name in ("search", "multiperfect"):
-        with pytest.raises(UsageError):
-            calls[name](block_size=0)
+    with pytest.raises(UsageError):
+        calls["search"](block_size=0)
