@@ -11,8 +11,12 @@ in order against parameters (x, y, z):
   B3  when m1*m2 <= x/z, else
   B4.
 
-The true parameter formulas make y so large that every desk-scale solution
-falls into B2, so explicit (y, z) overrides are accepted and recorded.
+Explicit (y, z) overrides of the parameter formulas are accepted and recorded.
+A solution past B1 has q**a <= y for every q**a || arg_i with a >= 2; past B2
+it decomposes if each such q**a has P(f(q**a)) < y.  For phi that always
+holds, as P(phi(q**a)) <= q < y.  For sigma it is guaranteed only for y < 4:
+at y = 4, 2**2 survives B1 with sigma(4) = 7, and the default y (about 20.4
+at x = 1000) meets sigma(2**4) = 31.
 A missing decomposition is an integrity error: it would contradict the case
 analysis the buckets implement, so it is surfaced, never swallowed.
 """
@@ -41,8 +45,8 @@ class AuditParams:
 
 
 def _finish(x: int, y: float, z: float, overridden: bool) -> AuditParams:
-    if y <= 1.0:
-        raise DomainError(f"y must be > 1, got {y}")
+    if not 1.0 < y < math.inf:  # NaN fails this too
+        raise DomainError(f"y must be finite and > 1, got {y}")
     if not 0.0 < z < x:
         raise DomainError(f"z must be in (0, x), got {z}")
     log_xz = math.log(x / z)

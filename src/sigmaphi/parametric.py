@@ -85,12 +85,13 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def enumerate_families(spec: EquationSpec, kmax: int, threads: int = 1) -> list[Family]:
+def enumerate_families(spec: EquationSpec, kmax: int) -> list[Family]:
     """All families with max(k1, k2) <= kmax, sorted by (k1, k2).
 
     Coprimality of (k1, k2) forces |k2 - k1| to divide a1*b2 - a2*b1, so only
     gaps dividing that cross term are scanned instead of all pairs.  A kmax
     with more than _CANDIDATE_LIMIT candidates is refused with CapacityError.
+    The scan is pure Python, so it runs on the caller's thread.
     """
     if kmax < 2:
         raise UsageError(f"kmax must be >= 2, got {kmax}")
@@ -98,22 +99,16 @@ def enumerate_families(spec: EquationSpec, kmax: int, threads: int = 1) -> list[
     candidates = 2 * kmax * len(gaps)
     if candidates > _CANDIDATE_LIMIT:
         raise CapacityError(f"kmax={kmax} gives {candidates} candidates, over {_CANDIDATE_LIMIT}")
-
-    def scan(bounds: tuple[int, int]) -> list[Family]:
-        lo, hi = bounds
-        found = []
-        for k1 in range(lo, hi + 1):
-            for gap in gaps:
-                for k2 in (k1 - gap, k1 + gap):
-                    if not 1 <= k2 <= kmax or gcd(k1, k2) != 1:
-                        continue
-                    fam = _family_if_valid(spec, k1, k2)
-                    if fam is not None:
-                        found.append(fam)
-        return found
-
-    span = -(kmax // -max(threads, 1))  # threads < 1 is refused by _map_blocks
-    families = _map_blocks(scan, 1, kmax, span, threads)
+    families = []
+    for k1 in range(1, kmax + 1):
+        for gap in gaps:
+            for k2 in (k1 - gap, k1 + gap):
+                if not 1 <= k2 <= kmax or gcd(k1, k2) != 1:
+                    continue
+                fam = _family_if_valid(spec, k1, k2)
+                if fam is not None:
+                    families.append(fam)
+    # within one k1 the candidates k1 -+ gap do not come out sorted
     families.sort(key=lambda f: (f.k1, f.k2))
     return families
 
@@ -264,8 +259,6 @@ def consecutive_multiperfect_search(xmax: int, threads: int = 1) -> list[int]:
     """All m <= xmax with m | sigma(m) and (m+1) | sigma(m+1), ascending."""
     if xmax < 1:
         raise UsageError(f"xmax must be >= 1, got {xmax}")
-    if xmax + 1 >= arith.TABLE_LIMIT:
-        raise CapacityError(f"xmax must be < 2**48 - 1, got {xmax}")
 
     def scan(block: tuple[int, int]) -> list[int]:
         lo, hi = block

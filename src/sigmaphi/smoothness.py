@@ -30,8 +30,6 @@ def _check_xy(x: int, y) -> None:
         raise UsageError(f"x must be >= 1, got {x}")
     if y < 1:
         raise UsageError(f"y must be >= 1, got {y}")
-    if x >= arith.TABLE_LIMIT:
-        raise CapacityError(f"x must be < 2**48, got {x}")
     if x > arith._SIEVE_LIMIT:
         raise CapacityError(f"x must be <= {arith._SIEVE_LIMIT}, got {x}")
 
@@ -126,28 +124,24 @@ def bound_main(x) -> float:
     return x * math.exp(-math.sqrt(0.5 * lx * lllx))
 
 
+# counter and leading-order bound of each `which`
 _COUNTERS = {
-    "psi": psi,
-    "s": count_S,
-    "phi": phi_smooth_count,
-    "sigma": sigma_smooth_count,
+    "psi": (psi, bound_debruijn),
+    "s": (count_S, lambda x, y: x / math.sqrt(y)),  # constant in front deliberately dropped
+    "phi": (phi_smooth_count, bound_bfps),
+    "sigma": (sigma_smooth_count, bound_bfps),
 }
 
 
 def smooth_report(which: str, x: int, y: int, include_bound: bool = False) -> SmoothReport:
     """Run one counter, optionally with its leading-order bound and count/bound ratio."""
     try:
-        counter = _COUNTERS[which]
+        counter, bound_of = _COUNTERS[which]
     except KeyError:
         raise UsageError(f"unknown counter {which!r}; pick one of {sorted(_COUNTERS)}")
     count = counter(x, y)
     bound = ratio = None
     if include_bound:
-        if which == "psi":
-            bound = bound_debruijn(x, y)
-        elif which == "s":
-            bound = x / math.sqrt(y)  # constant in front deliberately dropped
-        else:
-            bound = bound_bfps(x, y)
+        bound = bound_of(x, y)
         ratio = count / bound
     return SmoothReport(x, y, count, bound, ratio)

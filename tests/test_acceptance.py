@@ -238,8 +238,6 @@ def test_criterion_9_thread_determinism(capsys):
     commands = [
         ["search", "--fn", "sigma", "--a1", "1", "--b1", "0", "--a2", "1", "--b2", "1",
          "--max", "2500000"],
-        ["families", "--fn", "sigma", "--a1", "1", "--b1", "0", "--a2", "1", "--b2", "360",
-         "--kmax", "2000"],
         ["audit", "--fn", "sigma", "--a1", "1", "--b1", "0", "--a2", "1", "--b2", "1",
          "--max", "100000", "--y", "3", "--z", "2"],
         ["multiperfect", "--max", "2500000"],

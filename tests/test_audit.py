@@ -51,6 +51,9 @@ def test_override_params():
     assert override_params(100, 9.0).z == 3.0
     with pytest.raises(DomainError):
         override_params(100, 1.0)
+    for y in (math.nan, math.inf):  # a valid z, so only the y check can refuse
+        with pytest.raises(DomainError, match="y must be"):
+            override_params(100, y, 2.0)
     with pytest.raises(DomainError):
         override_params(100, 3.0, 200.0)
     with pytest.raises(UsageError):
@@ -159,6 +162,16 @@ def test_audit_range_is_exhaustive_under_override():
             assert sigma(dec.m1) * dec.k1 == sigma(dec.m2) * dec.k2
             assert rec.arg1 == dec.m1 * (dec.k1 * dec.p - 1)
             assert rec.arg2 == dec.m2 * (dec.k2 * dec.p - 1)
+
+
+@pytest.mark.parametrize("shift", [1, 2, 22])
+@pytest.mark.parametrize("y", [4.0, 10.0])
+def test_phi_audit_always_decomposes(shift, y):
+    # every q**a <= y with a >= 2 has P(phi(q**a)) <= q < y, so a phi solution
+    # past B1 and B2 always decomposes, even at the y where sigma's fails
+    _, audited = audit_range(EquationSpec(Kind.PHI, 1, 0, 1, shift), 2 * 10**5, y=y, z=2)
+    buckets = {verdict.bucket for _, verdict in audited}
+    assert buckets & {Bucket.B3, Bucket.B4}
 
 
 def test_audit_range_validation():

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
-from sigmaphi import bound_bfps
+from sigmaphi import bound_bfps, parametric
 from sigmaphi.cli import run
 
 EQ_PHI1 = ["--fn", "phi", "--a1", "1", "--b1", "0", "--a2", "1", "--b2", "1"]
@@ -166,6 +170,40 @@ def test_audit_integrity_exit_code(capsys):
     assert "integrity error" in err
 
 
+def test_audit_non_finite_y_exit_2(capsys):
+    for y in ("nan", "inf"):
+        code, out, err = invoke(
+            ["audit", *EQ_SIGMA1, "--max", "1000", "--y", y, "--z", "2"], capsys
+        )
+        assert code == 2, y
+        assert out == "" and f"y must be finite and > 1, got {y}" in err
+
+
+def test_generate_failed_reverification_exit_3(capsys, monkeypatch):
+    # the verified column is written as true because generate checks every witness
+    monkeypatch.setattr(parametric, "verify_witness", lambda w: False)
+    code, out, err = invoke(
+        ["generate", *EQ_SIGMA22, "--k1", "3", "--k2", "14", "--lmax", "10"], capsys
+    )
+    assert code == 3
+    assert out == "" and "failed re-verification" in err
+
+
+def test_module_entry_point_exit_codes():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for argv, expected in (
+        (["bounds", "--x", "1000000"], 0),
+        (["nonsense"], 1),
+        (["search", *EQ_SIGMA1, "--max", str(10**10 + 1)], 2),
+        (["audit", *EQ_SIGMA1, "--max", "300", "--y", "10", "--z", "2"], 3),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sigmaphi.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == expected, (argv, proc.stderr)
+        assert (proc.stdout == "") == (expected != 0), argv
+
+
 def test_usage_errors_exit_1(capsys):
     code, _, err = invoke(
         ["search", "--fn", "phi", "--a1", "0", "--b1", "0", "--a2", "1", "--b2", "1",
@@ -179,11 +217,14 @@ def test_usage_errors_exit_1(capsys):
     code, _, err = invoke(["search", *EQ_PHI1, "--max", "10", "--threads", "0"], capsys)
     assert code == 1
     assert "threads must be >= 1" in err
-    # ten blocks each, so a missing cap would still start at most ten threads
-    for argv in (["search", *EQ_PHI1, "--max", "10"], ["families", *EQ_SIGMA22, "--kmax", "10"]):
-        code, _, err = invoke([*argv, "--threads", "1000000"], capsys)
-        assert code == 1
-        assert "threads must be <=" in err
+    # ten blocks, so a missing cap would still start at most ten threads
+    code, _, err = invoke(["search", *EQ_PHI1, "--max", "10", "--threads", "1000000"], capsys)
+    assert code == 1
+    assert "threads must be <=" in err
+    # families scans on the caller's thread and takes no --threads
+    code, out, err = invoke(["families", *EQ_SIGMA22, "--kmax", "10", "--threads", "2"], capsys)
+    assert code == 1
+    assert out == "" and "--threads" in err
 
 
 def test_capacity_exit_2(capsys):
@@ -198,7 +239,7 @@ def test_capacity_exit_2(capsys):
             ["smooth", "--which", which, "--x", str(1 << 48), "--y", "2"], capsys
         )
         assert code == 2
-        assert "x must be < 2**48" in err
+        assert "x must be <=" in err
     # refused before the 160 GB (sigma), 80 GB (phi) or 10 GB (s) table is
     # allocated, and before psi sieves for about 40 days
     for which, x in (("psi", 1 << 47), ("s", 10**10), ("phi", 10**10), ("sigma", 10**10)):
@@ -210,16 +251,17 @@ def test_capacity_exit_2(capsys):
 def test_bulk_ranges_refused_exit_2(capsys):
     # past 10**10 integers each command would sieve for hours; refused at once
     spans = "spans more than 10000000000 integers"
+    threads = ["--threads", "2"]
     for argv, message in (
-        (["search", *EQ_SIGMA1, "--max"], spans),
-        (["audit", *EQ_SIGMA1, "--y", "3", "--z", "2", "--max"], spans),
-        (["audit", *EQ_PHI1, "--max"], spans),
-        (["multiperfect", "--max"], spans),
+        (["search", *EQ_SIGMA1, *threads, "--max"], spans),
+        (["audit", *EQ_SIGMA1, "--y", "3", "--z", "2", *threads, "--max"], spans),
+        (["audit", *EQ_PHI1, *threads, "--max"], spans),
+        (["multiperfect", *threads, "--max"], spans),
         # families is pure Python per (k1, k2) candidate, so it is capped far sooner
         (["families", *EQ_SIGMA22, "--kmax"], "candidates, over 30000000"),
     ):
         start = time.perf_counter()
-        code, out, err = invoke([*argv, str(10**10 + 1), "--threads", "2"], capsys)
+        code, out, err = invoke([*argv, str(10**10 + 1)], capsys)
         assert time.perf_counter() - start < 1.0, argv
         assert code == 2, argv
         assert out == "" and message in err

@@ -9,6 +9,7 @@ from sigmaphi import (
     CapacityError,
     EquationSpec,
     Family,
+    IntegrityError,
     Kind,
     UsageError,
     Witness,
@@ -80,8 +81,6 @@ def test_enumerate_families_sorted_and_coprime():
     keys = [(f.k1, f.k2) for f in fams]
     assert keys == [(2, 5), (12, 13)]  # two families, already sorted
     assert all(gcd(k1, k2) == 1 for k1, k2 in keys)
-    for threads in (4, 61):  # 61 > kmax: one block per k1
-        assert fams == enumerate_families(spec, 60, threads=threads)
 
 
 def test_enumerate_matches_all_pairs_scan():
@@ -194,6 +193,12 @@ def test_generate_refuses_q_past_scalar_range(monkeypatch):
     assert generate(Family(SIGMA_PLUS_22, 3, 1 << 62, 28, 6), 2) == []
 
 
+def test_generate_raises_on_failed_reverification(monkeypatch):
+    monkeypatch.setattr(parametric, "verify_witness", lambda w: False)
+    with pytest.raises(IntegrityError, match="failed re-verification"):
+        generate(derive_family(SIGMA_PLUS_22, 3, 14), 10)
+
+
 def test_verify_witness_and_tampering():
     fam = derive_family(SIGMA_PLUS_22, 3, 14)
     w = generate(fam, 10)[0]
@@ -290,6 +295,13 @@ def test_ghp_solutions_verify():
     assert produced > 5
 
 
+def test_ghp_raises_on_non_solution(monkeypatch):
+    assert ghp_generate(2, 2, 2) == 10
+    monkeypatch.setattr(arith, "phi", lambda n: n)  # phi(10) != phi(12) now
+    with pytest.raises(IntegrityError, match="non-solution 10"):
+        ghp_generate(2, 2, 2)
+
+
 def test_ghp_validation():
     with pytest.raises(UsageError):
         ghp_generate(0, 2, 2)
@@ -306,7 +318,8 @@ def test_multiperfect_search_small():
 def test_multiperfect_search_validation():
     with pytest.raises(UsageError):
         consecutive_multiperfect_search(0)
-    # the m + 1 lookahead would read sigma(2**48), past the table cap
+    # the m + 1 lookahead would read sigma(2**48), past the table cap, but a
+    # range this long is refused first, by the block map's 10**10 limit
     with pytest.raises(CapacityError):
         consecutive_multiperfect_search((1 << 48) - 1)
 
@@ -326,10 +339,9 @@ def test_multiperfect_search_blocks_match(monkeypatch):
 
 
 def test_block_map_validation_is_shared():
-    # search, enumerate_families and the multiperfect search share one block map
+    # search and the multiperfect search share one block map
     calls = {
         "search": partial(search, PHI_PLUS_2, 100),
-        "families": partial(enumerate_families, SIGMA_PLUS_22, 20),
         "multiperfect": partial(consecutive_multiperfect_search, 100),
     }
     for call in calls.values():
