@@ -6,7 +6,10 @@ test, and factorize is small-prime trial division plus Brent's rho.  Bulk
 operations are numpy-backed segmented sieves; table inputs are capped at
 2**48 so every sigma value stays well below 2**64.  build_table sieves any
 arithmetic progression lo, lo + step, ... <= hi, so a caller that reads
-every a-th integer (search at a1, a2 > 1) sieves only the terms it reads.
+every a-th integer (search at a1, a2 > 1) sieves only the terms it reads;
+search builds one such table per block when both of its arguments lie on
+the same progression less than a block apart, and one per argument
+otherwise.
 """
 
 from __future__ import annotations
@@ -33,9 +36,13 @@ DEFAULT_SEGMENT = 1 << 20
 # count_S's marks.  _SIEVE_LIMIT caps how many integers one block map or one
 # smooth counter walks.  The kernel walks ~4 * 10**7 entries per second
 # (psi(10**7, 100) in 0.25 s on a 2-vCPU Xeon), so 10**9 takes ~25 s and
-# the limit ~4 min.
+# the limit ~4 min.  _WORK_LIMIT caps the base primes a search's kernel
+# loops over, summed over its tables and blocks: the count of a two-table
+# search to _SIEVE_LIMIT at unit multipliers, 2 tables x ceil(10**10 / 2**20)
+# blocks x pi(10**5) = 9592 primes, about 1.83 * 10**8.
 _MEMORY_BUDGET = 1 << 30
 _SIEVE_LIMIT = 10**10
+_WORK_LIMIT = 2 * -(-_SIEVE_LIMIT // DEFAULT_SEGMENT) * 9592
 
 # The first 12 primes: trial divisors of is_prime, and Miller-Rabin bases
 # sufficient for every n < 3.18 * 10**23 (Sorenson & Webster, Math. Comp. 86,

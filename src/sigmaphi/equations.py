@@ -6,6 +6,7 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from math import isqrt
 
 import numpy as np
 
@@ -85,19 +86,66 @@ def _map_blocks(
     return [item for part in parts for item in part]
 
 
-def _scan_block(spec: EquationSpec, block: tuple[int, int]) -> list[SolutionRecord]:
-    u, v = block
-    strided = [
+def _one_table(spec: EquationSpec, length: int) -> bool:
+    """Whether one table serves a block of length values of n.
+
+    It does when both arguments lie on one progression (a1 == a2 == a and a
+    divides b2 - b1) and the halo |b2 - b1| / a is shorter than the block;
+    with a longer halo the two ranges are disjoint, and their union would
+    sieve more terms than two tables do.
+    """
+    d = spec.b2 - spec.b1
+    return spec.a1 == spec.a2 and d % spec.a1 == 0 and abs(d) // spec.a1 < length
+
+
+def _tables(spec: EquationSpec, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """f(a1*n + b1) and f(a2*n + b2) for n in [u, v], as two uint64 arrays.
+
+    Under _one_table they are two views, h = |b2 - b1| / a entries apart, of
+    one table over the union of the two argument ranges.
+    """
+    if _one_table(spec, v - u + 1):
+        a, b1, b2 = spec.a1, spec.b1, spec.b2
+        h = abs(b2 - b1) // a
+        table = arith.build_table(a * u + min(b1, b2), a * v + max(b1, b2), spec.kind, step=a)
+        low, high = table[: table.size - h], table[h:]
+        return (low, high) if b1 < b2 else (high, low)
+    return tuple(
         arith.build_table(a * u + b, a * v + b, spec.kind, step=a)
         for a, b in ((spec.a1, spec.b1), (spec.a2, spec.b2))
-    ]
-    hits = np.nonzero(strided[0] == strided[1])[0]
+    )
+
+
+def _scan_block(spec: EquationSpec, block: tuple[int, int]) -> list[SolutionRecord]:
+    u, v = block
+    f1, f2 = _tables(spec, u, v)
     out = []
-    for i in hits:
+    for i in np.nonzero(f1 == f2)[0]:
         n = u + int(i)
         a1n, a2n = spec.arguments(n)
-        out.append(SolutionRecord(n, a1n, a2n, int(strided[0][i])))
+        out.append(SolutionRecord(n, a1n, a2n, int(f1[i])))
     return out
+
+
+def _check_work(spec: EquationSpec, lo: int, hi: int, span: int) -> None:
+    """Refuse, with CapacityError, a search whose kernel would pass arith._WORK_LIMIT.
+
+    Each table of each block loops in Python over the base primes up to the
+    square root of its largest argument, so the work is counted as tables per
+    block x blocks x pi(isqrt(largest argument)).  A block holds span values
+    of n, only 2**20 / a of them by default, so large multipliers cost far
+    more per n than the range check allows for.  Unit multipliers are left
+    to the range check, which admits them as before.
+    """
+    if max(spec.a1, spec.a2) == 1 or span < 1 or hi < lo:
+        return  # the block map refuses span < 1 itself
+    largest = max(spec.arguments(hi))
+    tables = 1 if _one_table(spec, span) else 2
+    work = tables * -(-(hi - lo + 1) // span) * arith._simple_primes(isqrt(largest)).size
+    if work > arith._WORK_LIMIT:
+        raise CapacityError(
+            f"search would loop over {work} base primes, over the {arith._WORK_LIMIT} limit"
+        )
 
 
 def search(
@@ -107,7 +155,13 @@ def search(
 
     Block-sieved for throughput; with threads > 1 the blocks are sieved
     concurrently and merged in block order, so output is identical for any
-    thread count and any block size (block_size is internal tuning).
+    thread count and any block size (block_size is internal tuning).  Each
+    block sieves one table when both arguments lie on one progression
+    (a1 == a2 == a, a divides b2 - b1, and the halo |b2 - b1| / a is shorter
+    than the block, as for f(n) = f(n + k)) and compares two views of it
+    offset by the halo; otherwise it sieves one table per argument.  A
+    search at a multiplier above 1 whose sieve work would pass
+    arith._WORK_LIMIT is refused with CapacityError before any sieving.
     """
     if xmax < 1:
         raise UsageError(f"xmax must be >= 1, got {xmax}")
@@ -116,4 +170,6 @@ def search(
             raise CapacityError(f"argument {a}*{xmax}{b:+d} exceeds table capacity")
     if block_size is None:
         block_size = max(1, arith.DEFAULT_SEGMENT // max(spec.a1, spec.a2))
-    return _map_blocks(partial(_scan_block, spec), _first_valid_n(spec), xmax, block_size, threads)
+    lo = _first_valid_n(spec)
+    _check_work(spec, lo, xmax, block_size)
+    return _map_blocks(partial(_scan_block, spec), lo, xmax, block_size, threads)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -38,6 +39,24 @@ def test_search_csv_golden(capsys):
     assert manifest["command"] == "search"
     assert manifest["rows"] == 8
     assert manifest["params"]["max"] == 500
+
+
+# sha256 of the stdout of the benchmark's search-shift smoke workload, as
+# recorded in perfbench/workloads.py (EXPECTED["smoke"]), so that any change
+# to search's output bytes fails here too
+SHIFT_DIGESTS = {
+    "sigma": "c76c780eca6a3845926eb8e8d051b303606243c46517ab3d6b7c48650dd57ae2",
+    "phi": "ce435ae9c150f3ef1644fe2beda5511c1a8ea6999a0fd071cf5585d88bd97125",
+}
+
+
+def test_search_stdout_bytes_pinned(capsys):
+    for fn, digest in SHIFT_DIGESTS.items():
+        argv = ["search", "--fn", fn, "--a1", "1", "--b1", "0", "--a2", "1", "--b2", "1",
+                "--max", "20000", "--threads", "1", "--classify"]
+        code, out, _ = invoke(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fn
 
 
 def test_search_classify_column(capsys):
@@ -265,6 +284,18 @@ def test_bulk_ranges_refused_exit_2(capsys):
         assert time.perf_counter() - start < 1.0, argv
         assert code == 2, argv
         assert out == "" and message in err
+
+
+def test_large_multiplier_search_refused_exit_2(capsys):
+    # inside the 10**10 range limit, but each block of 2**20 / 1000 values of n
+    # loops over the ~2 * 10**5 base primes below sqrt(10**13): refused at once
+    eq = ["--fn", "phi", "--a1", "1000", "--b1", "0", "--a2", "1", "--b2", "1"]
+    for argv in (["search", *eq], ["audit", *eq, "--y", "3", "--z", "2"]):
+        start = time.perf_counter()
+        code, out, err = invoke([*argv, "--max", str(10**10)], capsys)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2, argv
+        assert out == "" and "base primes" in err
 
 
 def test_generate_negative_lmax_exit_1(capsys):

@@ -1,6 +1,7 @@
 import pytest
 
 import brute
+from sigmaphi import arith
 from sigmaphi import (
     CapacityError,
     EquationSpec,
@@ -12,7 +13,7 @@ from sigmaphi import (
     search,
     sigma,
 )
-from sigmaphi.equations import _map_blocks
+from sigmaphi.equations import _check_work, _map_blocks
 
 PHI_PLUS_1 = EquationSpec(Kind.PHI, 1, 0, 1, 1)
 PHI_PLUS_2 = EquationSpec(Kind.PHI, 1, 0, 1, 2)
@@ -141,3 +142,74 @@ def test_search_validation():
     assert _map_blocks(lambda block: [], 1, 10**10, 1 << 20, 1) == []
     with pytest.raises(CapacityError):
         _map_blocks(lambda block: [], 0, 10**10, 1 << 20, 1)
+
+
+# a1 == a2 == a with both signs of d = b2 - b1 and a | d (one table per block
+# once the halo h = |d| / a is shorter than the block), and a not dividing d
+# (two tables per block); entries are (a, b1, b2)
+ONE_PROGRESSION = [(1, 0, 5), (1, 7, 0), (2, 1, 9), (2, 11, 1), (3, 2, 14), (3, 10, -2),
+                   (2, 0, 3), (3, 1, 5)]
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("a,b1,b2", ONE_PROGRESSION)
+def test_one_progression_search_matches_brute(kind, a, b1, b2):
+    want = brute.solutions(kind.value, a, b1, a, b2, 600)
+    h = abs(b2 - b1) // a
+    # blocks of at most h values of n take two tables, longer ones one table
+    for block_size in dict.fromkeys((1, max(1, h - 1), h, h + 1, 1000, None)):
+        for threads in (1, 3):
+            got = search(EquationSpec(kind, a, b1, a, b2), 600, threads, block_size)
+            assert [r.n for r in got] == want, (block_size, threads)
+
+
+@pytest.mark.parametrize(
+    "coeffs,block_size,tables",
+    [
+        ((1, 0, 1, 1), None, 1),
+        ((1, 0, 1, 5), 6, 1),
+        ((1, 0, 1, 5), 5, 2),  # the halo is as long as the block
+        ((2, 11, 2, 1), 100, 1),
+        ((2, 0, 2, 3), 100, 2),  # a does not divide b2 - b1
+        ((2, 1, 3, 1), 100, 2),  # affine
+    ],
+)
+def test_tables_per_block(monkeypatch, coeffs, block_size, tables):
+    calls = []
+    real = arith.build_table
+
+    def build_table(lo, hi, kind, step=1):
+        calls.append((lo, hi, step))
+        return real(lo, hi, kind, step)
+
+    monkeypatch.setattr(arith, "build_table", build_table)
+    spec = EquationSpec(Kind.SIGMA, *coeffs)
+    # whole blocks only: a last block of at most h values would take two tables
+    xmax = 3 * arith.DEFAULT_SEGMENT if block_size is None else 600
+    search(spec, xmax, block_size=block_size)
+    span = block_size or arith.DEFAULT_SEGMENT
+    blocks = len(range(1, xmax + 1, span))
+    assert len(calls) == tables * blocks
+    a, b1, _, b2 = coeffs
+    if tables == 1:  # the union of both argument ranges of the block
+        u, v = 1, min(xmax, span)
+        assert calls[0] == (a * u + min(b1, b2), a * v + max(b1, b2), a)
+
+
+def test_work_limit():
+    blocks = -(-arith._SIEVE_LIMIT // arith.DEFAULT_SEGMENT)
+    assert arith._WORK_LIMIT == 2 * blocks * arith._simple_primes(10**5).size
+    # ~4 * 10**12 base-prime loops (weeks of sieving), refused before any sieve
+    with pytest.raises(CapacityError, match="base primes"):
+        search(EquationSpec(Kind.PHI, 1000, 0, 1, 1), 10**10)
+    # the benchmark's searches, and unit multipliers up to the range limit
+    for kind in Kind:
+        _check_work(EquationSpec(kind, 1, 0, 1, 1), 1, 2 * 10**6, arith.DEFAULT_SEGMENT)
+        _check_work(EquationSpec(kind, 2, 1, 3, 1), 1, 10**6, arith.DEFAULT_SEGMENT // 3)
+        for b2 in (1, 2**20, 10**9):
+            _check_work(EquationSpec(kind, 1, 0, 1, b2), 1, 10**10, arith.DEFAULT_SEGMENT)
+    # to 7 * 10**9, one table per block is admitted and two are refused
+    span = arith.DEFAULT_SEGMENT // 2
+    _check_work(EquationSpec(Kind.PHI, 2, 0, 2, 2), 1, 7 * 10**9, span)
+    with pytest.raises(CapacityError):
+        _check_work(EquationSpec(Kind.PHI, 2, 0, 2, 3), 1, 7 * 10**9, span)
