@@ -36,13 +36,14 @@ DEFAULT_SEGMENT = 1 << 20
 # count_S's marks.  _SIEVE_LIMIT caps how many integers one block map or one
 # smooth counter walks.  The kernel walks ~4 * 10**7 entries per second
 # (psi(10**7, 100) in 0.25 s on a 2-vCPU Xeon), so 10**9 takes ~25 s and
-# the limit ~4 min.  _WORK_LIMIT caps the base primes a search's kernel
-# loops over, summed over its tables and blocks: the count of a two-table
-# search to _SIEVE_LIMIT at unit multipliers, 2 tables x ceil(10**10 / 2**20)
-# blocks x pi(10**5) = 9592 primes, about 1.83 * 10**8.
+# the limit ~4 min.  _WORK_LIMIT caps the base primes any search's kernel
+# loops over, summed over tables and blocks: a two-table unit search over 10**10
+# n with arguments up to 2 * 10**10, 2 x ceil(10**10 / 2**20) blocks x 13132
+# primes (to isqrt(2 * 10**10)), ~2.5 * 10**8.  One 2**20-entry table took
+# 0.09 s near 10**10, 0.28 s near 10**12 and 0.98 s near 10**14, on that Xeon.
 _MEMORY_BUDGET = 1 << 30
 _SIEVE_LIMIT = 10**10
-_WORK_LIMIT = 2 * -(-_SIEVE_LIMIT // DEFAULT_SEGMENT) * 9592
+_WORK_LIMIT = 2 * -(-_SIEVE_LIMIT // DEFAULT_SEGMENT) * 13132
 
 # The first 12 primes: trial divisors of is_prime, and Miller-Rabin bases
 # sufficient for every n < 3.18 * 10**23 (Sorenson & Webster, Math. Comp. 86,

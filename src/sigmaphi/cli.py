@@ -15,7 +15,7 @@ import time
 from . import __version__
 from .audit import audit_range, default_params
 from .equations import EquationSpec, Kind, search
-from .errors import CapacityError, DomainError, IntegrityError, UsageError
+from .errors import DomainError, IntegrityError, UsageError
 from .parametric import (
     classify,
     consecutive_multiperfect_search,
@@ -212,7 +212,7 @@ def run(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CapacityError, DomainError) as exc:
+    except (OverflowError, DomainError) as exc:  # CapacityError, or an x past float range
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrityError as exc:

@@ -128,18 +128,20 @@ def _scan_block(spec: EquationSpec, block: tuple[int, int]) -> list[SolutionReco
 
 
 def _check_work(spec: EquationSpec, lo: int, hi: int, span: int) -> None:
-    """Refuse, with CapacityError, a search whose kernel would pass arith._WORK_LIMIT.
+    """Refuse, with CapacityError, a search past 2**48 or arith._WORK_LIMIT.
 
-    Each table of each block loops in Python over the base primes up to the
-    square root of its largest argument, so the work is counted as tables per
-    block x blocks x pi(isqrt(largest argument)).  A block holds span values
-    of n, only 2**20 / a of them by default, so large multipliers cost far
-    more per n than the range check allows for.  Unit multipliers are left
-    to the range check, which admits them as before.
+    search's one up-front check, for every spec.  Each table of each block
+    loops in Python over the base primes up to the square root of its
+    largest argument, so the work is counted as tables per block x blocks x
+    pi(isqrt(largest argument)).  A block holds span values of n, only
+    2**20 / a of them by default, so large multipliers cost far more per n
+    than the range check allows for, and so do large offsets.
     """
-    if max(spec.a1, spec.a2) == 1 or span < 1 or hi < lo:
+    if span < 1 or hi < lo:
         return  # the block map refuses span < 1 itself
     largest = max(spec.arguments(hi))
+    if largest >= arith.TABLE_LIMIT:
+        raise CapacityError(f"argument {largest} at n = {hi} exceeds table capacity")
     tables = 1 if _one_table(spec, span) else 2
     work = tables * -(-(hi - lo + 1) // span) * arith._simple_primes(isqrt(largest)).size
     if work > arith._WORK_LIMIT:
@@ -160,14 +162,11 @@ def search(
     (a1 == a2 == a, a divides b2 - b1, and the halo |b2 - b1| / a is shorter
     than the block, as for f(n) = f(n + k)) and compares two views of it
     offset by the halo; otherwise it sieves one table per argument.  A
-    search at a multiplier above 1 whose sieve work would pass
-    arith._WORK_LIMIT is refused with CapacityError before any sieving.
+    search with an argument >= 2**48 or sieve work over arith._WORK_LIMIT
+    is refused with CapacityError before any sieving, at any multipliers.
     """
     if xmax < 1:
         raise UsageError(f"xmax must be >= 1, got {xmax}")
-    for a, b in ((spec.a1, spec.b1), (spec.a2, spec.b2)):
-        if a * xmax + b >= arith.TABLE_LIMIT:
-            raise CapacityError(f"argument {a}*{xmax}{b:+d} exceeds table capacity")
     if block_size is None:
         block_size = max(1, arith.DEFAULT_SEGMENT // max(spec.a1, spec.a2))
     lo = _first_valid_n(spec)

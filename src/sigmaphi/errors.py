@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: UsageError -> 1, CapacityError and
-DomainError -> 2, IntegrityError -> 3.
+The CLI maps these onto exit codes: UsageError -> 1, CapacityError (and
+any other OverflowError) and DomainError -> 2, IntegrityError -> 3.
 """
 
 

@@ -26,9 +26,9 @@ from .equations import EquationSpec, Kind, _map_blocks, search
 from .errors import CapacityError, IntegrityError, UsageError
 
 
-# Most (k1, k2) candidates one enumerate_families call may test.  The scan is
-# pure Python at 3-8 us per candidate on a 2-vCPU Xeon, so this is ~4 min,
-# the time arith._SIEVE_LIMIT allows a sieve.
+# Most (k1, k2) candidates one enumerate_families call tests, and most l one
+# generate call scans: both pure Python, at ~2 us per candidate and 1.0-1.4 us
+# per l on a 2-vCPU Xeon, so about 1 min of either.
 _CANDIDATE_LIMIT = 3 * 10**7
 
 
@@ -119,16 +119,16 @@ def generate(family: Family, lmax: int) -> list[Witness]:
     l is accepted when q_i = k_i*l -+ 1 are prime, q_i does not divide m_i,
     a1 divides m1*q1 - b1, and the resulting n is >= 1.  Every witness is
     re-verified by direct evaluation before being returned.  An lmax over
-    arith._SIEVE_LIMIT, or one at which q_i reaches 2**63, is refused with
+    _CANDIDATE_LIMIT, or one at which q_i reaches 2**63, is refused with
     CapacityError before the scan starts.
     """
     if lmax < 0:
         raise UsageError(f"lmax must be >= 0, got {lmax}")
-    if lmax > arith._SIEVE_LIMIT:
-        raise CapacityError(f"lmax must be <= {arith._SIEVE_LIMIT}, got {lmax}")
+    if lmax > _CANDIDATE_LIMIT:
+        raise CapacityError(f"lmax must be <= {_CANDIDATE_LIMIT}, got {lmax}")
     spec = family.spec
     shift = spec.kind.shift
-    # is_prime refuses q >= 2**63; refuse now rather than hours into the loop
+    # is_prime refuses q >= 2**63; refuse now rather than partway through the loop
     if max(family.k1, family.k2) * lmax - shift >= arith.SCALAR_LIMIT:
         raise CapacityError(f"q = k*l{-shift:+d} reaches 2**63 at l = lmax = {lmax}")
     out = []

@@ -6,7 +6,9 @@ import sys
 import time
 from pathlib import Path
 
-from sigmaphi import bound_bfps, parametric
+import pytest
+
+from sigmaphi import arith, bound_bfps, parametric
 from sigmaphi.cli import run
 
 EQ_PHI1 = ["--fn", "phi", "--a1", "1", "--b1", "0", "--a2", "1", "--b2", "1"]
@@ -286,16 +288,34 @@ def test_bulk_ranges_refused_exit_2(capsys):
         assert out == "" and message in err
 
 
-def test_large_multiplier_search_refused_exit_2(capsys):
+def test_large_multiplier_search_refused_exit_2(capsys, monkeypatch):
     # inside the 10**10 range limit, but each block of 2**20 / 1000 values of n
-    # loops over the ~2 * 10**5 base primes below sqrt(10**13): refused at once
-    eq = ["--fn", "phi", "--a1", "1000", "--b1", "0", "--a2", "1", "--b2", "1"]
-    for argv in (["search", *eq], ["audit", *eq, "--y", "3", "--z", "2"]):
-        start = time.perf_counter()
-        code, out, err = invoke([*argv, "--max", str(10**10)], capsys)
-        assert time.perf_counter() - start < 1.0, argv
+    # loops over the ~2 * 10**5 base primes below sqrt(10**13), and at unit
+    # multipliers each block of 2**20 values near 10**12 over the ~7.8 * 10**4
+    # below 10**6, about 0.3 s a table: refused before any table is built
+    monkeypatch.setattr(arith, "build_table", lambda *a, **k: pytest.fail("build_table ran"))
+    for a1, b2 in ((1000, 1), (1, 10**12)):
+        eq = ["--fn", "phi", "--a1", str(a1), "--b1", "0", "--a2", "1", "--b2", str(b2)]
+        for argv in (["search", *eq], ["audit", *eq, "--y", "3", "--z", "2"]):
+            start = time.perf_counter()
+            code, out, err = invoke([*argv, "--max", str(10**10)], capsys)
+            assert time.perf_counter() - start < 1.0, argv
+            assert code == 2, argv
+            assert out == "" and "base primes" in err
+
+
+def test_x_past_float_range_exit_2(capsys):
+    # x / z in the audit parameters overflows a float: one error line, no traceback
+    x = str(10**400)
+    for argv in (
+        ["bounds", "--x", x],
+        ["audit", *EQ_PHI1, "--max", x],
+        ["audit", *EQ_PHI1, "--max", x, "--y", "3", "--z", "2"],
+    ):
+        code, out, err = invoke(argv, capsys)
         assert code == 2, argv
-        assert out == "" and "base primes" in err
+        assert out == "" and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 def test_generate_negative_lmax_exit_1(capsys):
@@ -309,11 +329,11 @@ def test_generate_negative_lmax_exit_1(capsys):
 def test_generate_lmax_refused_exit_2(capsys):
     start = time.perf_counter()
     code, out, err = invoke(
-        ["generate", *EQ_SIGMA22, "--k1", "3", "--k2", "14", "--lmax", str(10**10 + 1)], capsys
+        ["generate", *EQ_SIGMA22, "--k1", "3", "--k2", "14", "--lmax", str(3 * 10**7 + 1)], capsys
     )
     assert time.perf_counter() - start < 1.0
     assert code == 2
-    assert out == "" and "lmax must be <= 10000000000" in err
+    assert out == "" and "lmax must be <= 30000000" in err
 
 
 def test_help_exits_0(capsys):

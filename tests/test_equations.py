@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 import brute
@@ -198,18 +200,50 @@ def test_tables_per_block(monkeypatch, coeffs, block_size, tables):
 
 def test_work_limit():
     blocks = -(-arith._SIEVE_LIMIT // arith.DEFAULT_SEGMENT)
-    assert arith._WORK_LIMIT == 2 * blocks * arith._simple_primes(10**5).size
+    primes = arith._simple_primes(isqrt(2 * arith._SIEVE_LIMIT)).size
+    assert arith._WORK_LIMIT == 2 * blocks * primes
     # ~4 * 10**12 base-prime loops (weeks of sieving), refused before any sieve
     with pytest.raises(CapacityError, match="base primes"):
         search(EquationSpec(Kind.PHI, 1000, 0, 1, 1), 10**10)
-    # the benchmark's searches, and unit multipliers up to the range limit
+    # the benchmark's searches, and every unit shift up to 10**10 at the range
+    # limit (one table per block below a halo of 2**20, two from there on);
+    # the shift 10**10 is exactly at the cap
+    span = arith.DEFAULT_SEGMENT
     for kind in Kind:
-        _check_work(EquationSpec(kind, 1, 0, 1, 1), 1, 2 * 10**6, arith.DEFAULT_SEGMENT)
-        _check_work(EquationSpec(kind, 2, 1, 3, 1), 1, 10**6, arith.DEFAULT_SEGMENT // 3)
-        for b2 in (1, 2**20, 10**9):
-            _check_work(EquationSpec(kind, 1, 0, 1, b2), 1, 10**10, arith.DEFAULT_SEGMENT)
+        _check_work(EquationSpec(kind, 1, 0, 1, 1), 1, 2 * 10**6, span)
+        _check_work(EquationSpec(kind, 2, 1, 3, 1), 1, 10**6, span // 3)
+        for b2 in (1, 2**20 - 1, 2**20, 10**9, 10**10):
+            _check_work(EquationSpec(kind, 1, 0, 1, b2), 1, 10**10, span)
+    _check_work(EquationSpec(Kind.PHI, 1, 0, 1, 10**14), 1, 10**8, span)
     # to 7 * 10**9, one table per block is admitted and two are refused
-    span = arith.DEFAULT_SEGMENT // 2
-    _check_work(EquationSpec(Kind.PHI, 2, 0, 2, 2), 1, 7 * 10**9, span)
+    _check_work(EquationSpec(Kind.PHI, 2, 0, 2, 2), 1, 7 * 10**9, span // 2)
     with pytest.raises(CapacityError):
-        _check_work(EquationSpec(Kind.PHI, 2, 0, 2, 3), 1, 7 * 10**9, span)
+        _check_work(EquationSpec(Kind.PHI, 2, 0, 2, 3), 1, 7 * 10**9, span // 2)
+
+
+def _no_sieve(monkeypatch):
+    monkeypatch.setattr(arith, "build_table", lambda *a, **k: pytest.fail("build_table ran"))
+
+
+@pytest.mark.parametrize("b2", [2 * 10**10, 10**12, 10**14])
+def test_unit_offset_search_refused_before_sieving(monkeypatch, b2):
+    # one 2**20-entry table near 10**14 takes ~1 s: hours for 9537 blocks
+    _no_sieve(monkeypatch)
+    with pytest.raises(CapacityError, match="base primes"):
+        search(EquationSpec(Kind.PHI, 1, 0, 1, b2), 10**10)
+
+
+def test_unit_search_with_no_valid_n(monkeypatch):
+    # lo = 21 > xmax: the arguments at xmax are negative, so no isqrt is taken
+    _no_sieve(monkeypatch)
+    assert search(EquationSpec(Kind.PHI, 1, -10, 1, -20), 5) == []
+
+
+@pytest.mark.parametrize(
+    "coeffs,xmax", [((1 << 30, 0, 1, 1), 1 << 20), ((1, 0, 1, 1 << 48), 1)]
+)
+def test_table_cap_checked_before_base_primes(monkeypatch, coeffs, xmax):
+    _no_sieve(monkeypatch)
+    monkeypatch.setattr(arith, "_simple_primes", lambda n: pytest.fail("_simple_primes ran"))
+    with pytest.raises(CapacityError, match="table capacity"):
+        search(EquationSpec(Kind.SIGMA, *coeffs), xmax)

@@ -176,6 +176,16 @@ def test_enumerate_families_refuses_past_candidate_limit(monkeypatch):
         enumerate_families(SIGMA_PLUS_22, 21)
 
 
+def test_generate_refuses_past_candidate_limit(monkeypatch):
+    family = derive_family(SIGMA_PLUS_22, 3, 14)
+    monkeypatch.setattr(parametric, "_CANDIDATE_LIMIT", 1000)
+    assert [w.l for w in generate(family, 1000)][-1] <= 1000
+    # refused before the loop
+    monkeypatch.setattr(arith, "is_prime", lambda q: pytest.fail(f"is_prime({q}) ran"))
+    with pytest.raises(CapacityError, match="lmax must be <= 1000, got 1001"):
+        generate(family, 1001)
+
+
 def test_generate_refuses_q_past_scalar_range(monkeypatch):
     # refused before the loop, where is_prime would raise only once it got there
     monkeypatch.setattr(arith, "is_prime", lambda q: pytest.fail(f"is_prime({q}) ran"))
