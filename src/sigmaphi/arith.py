@@ -29,26 +29,42 @@ U64_MAX = (1 << 64) - 1
 # Entries per sieve segment.  Tuning only: results must not depend on it.
 DEFAULT_SEGMENT = 1 << 20
 
+
+def _simple_primes(limit: int) -> np.ndarray:
+    """Primes <= limit as an int64 array (plain boolean sieve)."""
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return np.nonzero(mask)[0].astype(np.int64)
+
+
 # Up-front limits, so that a request which would exhaust memory or sieve for
 # days is refused with CapacityError instead.  _MEMORY_BUDGET caps, in bytes,
-# the one O(range) array a table or a smooth counter allocates: 8 B per
-# entry for build_table and largest_factor_table, 1 B per entry for
-# count_S's marks.  _SIEVE_LIMIT caps how many integers one block map or one
-# smooth counter walks.  The kernel walks ~4 * 10**7 entries per second
-# (psi(10**7, 100) in 0.25 s on a 2-vCPU Xeon), so 10**9 takes ~25 s and
-# the limit ~4 min.  _WORK_LIMIT caps the base primes any search's kernel
-# loops over, summed over tables and blocks: a two-table unit search over 10**10
-# n with arguments up to 2 * 10**10, 2 x ceil(10**10 / 2**20) blocks x 13132
-# primes (to isqrt(2 * 10**10)), ~2.5 * 10**8.  One 2**20-entry table took
-# 0.09 s near 10**10, 0.28 s near 10**12 and 0.98 s near 10**14, on that Xeon.
+# the one O(range) array a table or a smooth counter allocates: 8 B per entry
+# for build_table and largest_factor_table, 1 B per entry for count_S's marks.
+# _SIEVE_LIMIT caps how many integers one block map or one smooth counter
+# walks: ~5 min for psi (psi(10**7, 100) took 0.28 s) and ~16 min for a
+# one-table sigma search (9537 tables of 2**20 entries, 0.059 s each near
+# 10**8 and 0.12 s near 10**10), in one process on a 2-vCPU Xeon.
+# _WORK_LIMIT caps the base primes any search's kernel loops over, summed over
+# tables and blocks: a two-table unit search over 10**10 n with arguments up
+# to 2 * 10**10, 2 x ceil(10**10 / 2**20) blocks x 13132 primes (to
+# isqrt(2 * 10**10)), ~2.5 * 10**8.  One 2**20-entry phi table took 0.09 s
+# near 10**10, 0.28 s near 10**12 and 0.98 s near 10**14, on that Xeon.
 _MEMORY_BUDGET = 1 << 30
 _SIEVE_LIMIT = 10**10
 _WORK_LIMIT = 2 * -(-_SIEVE_LIMIT // DEFAULT_SEGMENT) * 13132
 
+# factorize trial-divides by the primes below this bound and hands the
+# cofactor to rho; any cofactor below its square is 1 or a prime.
+_TRIAL_BOUND = 1 << 10
+_TRIAL_PRIMES = tuple(_simple_primes(_TRIAL_BOUND - 1).tolist())
 # The first 12 primes: trial divisors of is_prime, and Miller-Rabin bases
 # sufficient for every n < 3.18 * 10**23 (Sorenson & Webster, Math. Comp. 86,
 # 2017), far beyond the scalar range.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_WITNESSES = _TRIAL_PRIMES[:12]
 
 # (bound, bases): Miller-Rabin to these bases is exact for every n < bound,
 # the bound being exclusive, because it is the least composite that is a
@@ -65,12 +81,6 @@ _MR_TIERS = (
     (SCALAR_LIMIT, _WITNESSES),
 )
 
-# factorize trial-divides by the primes below this bound and hands the
-# cofactor to rho; any cofactor below its square is 1 or a prime.
-_TRIAL_BOUND = 1 << 10
-_TRIAL_PRIMES = tuple(
-    p for p in range(2, _TRIAL_BOUND) if all(p % d for d in range(2, isqrt(p) + 1))
-)
 # Products of |x - y| that Brent's rho accumulates between two gcds.
 _RHO_BATCH = 128
 
@@ -98,7 +108,7 @@ def is_prime(n: int) -> bool:
     for p in _WITNESSES:
         if n % p == 0:
             return n == p
-    if n < 37 * 37:  # no prime factor <= 37
+    if n < _WITNESSES[-1] ** 2:  # no prime factor <= 37
         return True
     bases = next(bases for bound, bases in _MR_TIERS if n < bound)
     d = n - 1
@@ -241,16 +251,6 @@ def radical(n: int) -> int:
     for p, _ in factorize(n):
         total *= p
     return total
-
-
-def _simple_primes(limit: int) -> np.ndarray:
-    """Primes <= limit as an int64 array (plain boolean sieve)."""
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(np.int64)
 
 
 def _progression_hits(lo: int, step: int, q: int) -> tuple[int, int] | None:

@@ -44,9 +44,10 @@ class AuditParams:
     overridden: bool
 
 
-def _finish(x: int, y: float, z: float, overridden: bool) -> AuditParams:
+def _finish(x: int, y: float, z: float | None, overridden: bool) -> AuditParams:
     if not 1.0 < y < math.inf:  # NaN fails this too
         raise DomainError(f"y must be finite and > 1, got {y}")
+    z = math.sqrt(y) if z is None else float(z)
     if not 0.0 < z < x:
         raise DomainError(f"z must be in (0, x), got {z}")
     log_xz = math.log(x / z)
@@ -62,14 +63,14 @@ def default_params(x: int) -> AuditParams:
     lx = math.log(x)
     lllx = math.log(math.log(lx))
     y = math.exp(math.sqrt(2.0 * lx * lllx))
-    return _finish(x, y, math.sqrt(y), overridden=False)
+    return _finish(x, y, None, overridden=False)
 
 
 def override_params(x: int, y: float, z: float | None = None) -> AuditParams:
     """Explicit (y, z) for desk-scale runs; z defaults to sqrt(y)."""
     if x < 1:
         raise UsageError(f"x must be >= 1, got {x}")
-    return _finish(x, float(y), math.sqrt(y) if z is None else float(z), overridden=True)
+    return _finish(x, float(y), z, overridden=True)
 
 
 class Bucket(enum.Enum):

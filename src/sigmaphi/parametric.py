@@ -82,7 +82,7 @@ def _divisors(n: int) -> list[int]:
     out = [1]
     for p, e in arith.factorize(n):
         out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
+    return out
 
 
 def enumerate_families(spec: EquationSpec, kmax: int) -> list[Family]:

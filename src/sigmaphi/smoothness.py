@@ -28,8 +28,8 @@ class SmoothReport:
 def _check_xy(x: int, y) -> None:
     if x < 1:
         raise UsageError(f"x must be >= 1, got {x}")
-    if y < 1:
-        raise UsageError(f"y must be >= 1, got {y}")
+    if not 1 <= y < math.inf:  # NaN fails this too
+        raise UsageError(f"y must be finite and >= 1, got {y}")
     if x > arith._SIEVE_LIMIT:
         raise CapacityError(f"x must be <= {arith._SIEVE_LIMIT}, got {x}")
 
@@ -62,8 +62,8 @@ def _in_S(fac: arith.Factorization, y) -> bool:
 
 def is_in_S(n: int, y) -> bool:
     """True iff some prime power p**a with a >= 2 and p**a > y divides n."""
-    if y < 1:
-        raise UsageError(f"y must be >= 1, got {y}")
+    if not 1 <= y < math.inf:  # NaN fails this too
+        raise UsageError(f"y must be finite and >= 1, got {y}")
     return _in_S(arith.factorize(n), y)
 
 

@@ -295,3 +295,10 @@ def test_primes_upto():
     assert _simple_primes(0).tolist() == _simple_primes(1).tolist() == []
     assert _simple_primes(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(_simple_primes(10_000)) == 1229
+
+
+def test_small_prime_tuples_come_from_the_sieve():
+    assert arith._TRIAL_PRIMES == tuple(p for p in range(arith._TRIAL_BOUND) if brute.is_prime(p))
+    # plain ints, so factorize and is_prime never do numpy scalar arithmetic
+    assert all(type(p) is int for p in arith._TRIAL_PRIMES)
+    assert arith._WITNESSES == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

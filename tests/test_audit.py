@@ -54,6 +54,9 @@ def test_override_params():
     for y in (math.nan, math.inf):  # a valid z, so only the y check can refuse
         with pytest.raises(DomainError, match="y must be"):
             override_params(100, y, 2.0)
+    for y in (-5.0, -math.inf):  # no z: y is checked before sqrt(y) is taken
+        with pytest.raises(DomainError, match="y must be"):
+            override_params(100, y)
     with pytest.raises(DomainError):
         override_params(100, 3.0, 200.0)
     with pytest.raises(UsageError):

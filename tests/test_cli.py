@@ -192,12 +192,20 @@ def test_audit_integrity_exit_code(capsys):
 
 
 def test_audit_non_finite_y_exit_2(capsys):
-    for y in ("nan", "inf"):
-        code, out, err = invoke(
-            ["audit", *EQ_SIGMA1, "--max", "1000", "--y", y, "--z", "2"], capsys
-        )
-        assert code == 2, y
-        assert out == "" and f"y must be finite and > 1, got {y}" in err
+    # without --z, y is checked before z = sqrt(y) is taken
+    for args, y in (
+        (["--y", "nan", "--z", "2"], "nan"),
+        (["--y", "inf", "--z", "2"], "inf"),
+        (["--y", "-5"], "-5.0"),
+        (["--y=-inf"], "-inf"),
+    ):
+        code, out, err = invoke(["audit", *EQ_SIGMA1, "--max", "1000", *args], capsys)
+        assert code == 2, args
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: y must be finite and > 1, got {y}"
+        ]
+        assert "Traceback" not in err
 
 
 def test_generate_failed_reverification_exit_3(capsys, monkeypatch):

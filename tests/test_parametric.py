@@ -253,6 +253,31 @@ def test_generated_witnesses_classify_parametric():
                 assert verify_witness(back)
 
 
+@pytest.mark.parametrize(
+    "kind,shift,expected",
+    [
+        (Kind.SIGMA, 1, 0),
+        (Kind.SIGMA, 2, 0),
+        (Kind.SIGMA, 22, 71),
+        (Kind.PHI, 1, 0),
+        (Kind.PHI, 2, 376),
+        (Kind.PHI, 4, 217),
+        (Kind.PHI, 6, 1134),
+    ],
+)
+def test_parametric_hits_are_the_generated_witnesses(kind, shift, expected):
+    # a generated n that search misses is a sieve bug; a parametric hit that
+    # no family generates is a classifier bug.  Every hit here needs k <= 14.
+    spec, x = EquationSpec(kind, 1, 0, 1, shift), 10**5
+    hits = {rec.n for rec in search(spec, x) if classify(spec, rec.n) is not None}
+    generated = set()
+    for fam in enumerate_families(spec, 60):
+        lmax = (x * spec.a1 + spec.b1) // (fam.m1 * fam.k1) + 2
+        generated |= {w.n for w in generate(fam, lmax) if w.n <= x}
+    assert hits == generated
+    assert len(hits) == expected
+
+
 def test_classification_is_scale_invariant():
     # the same witness data must verify with l = 1 and the unreduced pair
     for spec in (SIGMA_PLUS_22, PHI_PLUS_2):

@@ -146,6 +146,13 @@ def test_counter_validation():
         count_S(10, 0)
     with pytest.raises(UsageError):
         is_in_S(5, 0)
+    # NaN passes a plain y < 1 test, and count_S never ends at y = inf
+    for y in (math.nan, math.inf):
+        for counter in (psi, count_S, phi_smooth_count, sigma_smooth_count):
+            with pytest.raises(UsageError, match="finite"):
+                counter(100, y)
+        with pytest.raises(UsageError, match="finite"):
+            is_in_S(12, y)
 
 
 def test_budgets_admit_target_sizes(monkeypatch):
