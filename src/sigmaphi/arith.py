@@ -42,20 +42,19 @@ def _simple_primes(limit: int) -> np.ndarray:
 
 # Up-front limits, so that a request which would exhaust memory or sieve for
 # days is refused with CapacityError instead.  _MEMORY_BUDGET caps, in bytes,
-# the one O(range) array a table or a smooth counter allocates: 8 B per entry
-# for build_table and largest_factor_table, 1 B per entry for count_S's marks.
+# the 8 B per entry table that build_table or largest_factor_table allocates.
 # _SIEVE_LIMIT caps how many integers one block map or one smooth counter
 # walks: ~5 min for psi (psi(10**7, 100) took 0.28 s) and ~16 min for a
 # one-table sigma search (9537 tables of 2**20 entries, 0.059 s each near
 # 10**8 and 0.12 s near 10**10), in one process on a 2-vCPU Xeon.
 # _WORK_LIMIT caps the base primes any search's kernel loops over, summed over
 # tables and blocks: a two-table unit search over 10**10 n with arguments up
-# to 2 * 10**10, 2 x ceil(10**10 / 2**20) blocks x 13132 primes (to
-# isqrt(2 * 10**10)), ~2.5 * 10**8.  One 2**20-entry phi table took 0.09 s
-# near 10**10, 0.28 s near 10**12 and 0.98 s near 10**14, on that Xeon.
+# to 2 * 10**10, 2 x ceil(10**10 / 2**20) blocks x pi(isqrt(2 * 10**10))
+# primes, ~2.5 * 10**8.  One 2**20-entry phi table took 0.11 s near 10**10,
+# 0.69 s near 10**12 and 2.3 s near 10**14 on that Xeon (2-3x drift by day).
 _MEMORY_BUDGET = 1 << 30
 _SIEVE_LIMIT = 10**10
-_WORK_LIMIT = 2 * -(-_SIEVE_LIMIT // DEFAULT_SEGMENT) * 13132
+_WORK_LIMIT = 2 * -(-_SIEVE_LIMIT // DEFAULT_SEGMENT) * _simple_primes(isqrt(2 * _SIEVE_LIMIT)).size
 
 # factorize trial-divides by the primes below this bound and hands the
 # cofactor to rho; any cofactor below its square is 1 or a prime.

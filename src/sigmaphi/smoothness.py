@@ -1,6 +1,6 @@
 """Exact smooth-number counters plus leading-order bound evaluators.
 
-The counters are exact (sieved).  The bound evaluators drop every o(.) and
+The counters are exact.  The bound evaluators drop every o(.) and
 (1+o(1)) factor from the displayed asymptotics, so they are reporting aids,
 not certified inequalities.
 """
@@ -8,7 +8,9 @@ not certified inequalities.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -68,17 +70,21 @@ def is_in_S(n: int, y) -> bool:
 
 
 def count_S(x: int, y) -> int:
-    """Count of n <= x divisible by some prime power p**a > y with a >= 2."""
+    """Count of n <= x divisible by some prime power p**a > y with a >= 2.
+
+    Exact inclusion-exclusion over q_p, the least p**a > y with a >= 2.  (1) n <= x is in S
+    iff some q_p divides n, as q_p divides every such p**a, and p*p <= q_p <= x.  (2) The q_p
+    are pairwise coprime, so, sorted, the n <= t that some q_j with j >= i divides are, split by
+    the largest such j, the q_j*m with m <= t // q_j that no q_k with k > j divides: free below.
+    """
     _check_xy(x, y)
-    arith._check_bytes(x + 1)  # the 1 B per entry marks
-    mark = np.zeros(x + 1, dtype=bool)
-    for p in arith._simple_primes(math.isqrt(x)).tolist():
-        q = p * p  # smallest admissible power, then grow past y
-        while q <= y:
-            q *= p
-        if q <= x:
-            mark[q::q] = True
-    return int(np.count_nonzero(mark))
+    primes = arith._simple_primes(math.isqrt(x)).tolist()
+    qs = sorted(next(p**a for a in count(2) if p**a > y) for p in primes)  # the q_p
+
+    def free(t: int, i: int) -> int:  # the n <= t that no q_j with j >= i divides
+        return t - sum(free(t // qs[j], j + 1) for j in range(i, bisect_right(qs, t)))
+
+    return x - free(x, 0)
 
 
 def phi_smooth_count(x: int, y: int) -> int:

@@ -269,12 +269,18 @@ def test_capacity_exit_2(capsys):
         )
         assert code == 2
         assert "x must be <=" in err
-    # refused before the 160 GB (sigma), 80 GB (phi) or 10 GB (s) table is
-    # allocated, and before psi sieves for about 40 days
-    for which, x in (("psi", 1 << 47), ("s", 10**10), ("phi", 10**10), ("sigma", 10**10)):
+    # refused before the 160 GB (sigma) or 80 GB (phi) table is allocated,
+    # and before psi sieves for about 40 days
+    for which, x in (("psi", 1 << 47), ("phi", 10**10), ("sigma", 10**10)):
         code, _, err = invoke(["smooth", "--which", which, "--x", str(x), "--y", "2"], capsys)
         assert code == 2, which
         assert "x must be <=" in err or "budget" in err
+    # s allocates nothing of size O(x), so only the range limit refuses it
+    code, out, err = invoke(["smooth", "--which", "s", "--x", str(10**10 + 1), "--y", "2"], capsys)
+    assert code == 2 and out == "" and "x must be <=" in err
+    code, out, _ = invoke(["smooth", "--which", "s", "--x", str(10**10), "--y", "2"], capsys)
+    assert code == 0
+    assert out == "x,y,count,bound,ratio\n10000000000,2,3920729058,,\n"
 
 
 def test_bulk_ranges_refused_exit_2(capsys):

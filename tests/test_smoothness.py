@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,38 @@ def test_counters_span_segments():
         assert psi(x, y) == np.count_nonzero(lpf[1 : x + 1] <= y)
         assert phi_smooth_count(x, y) == np.count_nonzero(lpf[phis] <= y)
         assert sigma_smooth_count(x, y) == np.count_nonzero(lpf[sigmas] <= y)
+
+
+def _count_S_marks(x, y):
+    # the O(x) mark sieve count_S used before its inclusion-exclusion
+    mark = np.zeros(x + 1, dtype=bool)
+    for p in filter(brute.is_prime, range(2, math.isqrt(x) + 1)):
+        q = p * p
+        while q <= y:
+            q *= p
+        if q <= x:
+            mark[q::q] = True
+    return int(np.count_nonzero(mark))
+
+
+def test_count_S_matches_mark_sieve():
+    ys = (1, 2, 3, 3.99, 4, 10, 100, 1100, 10**6)
+    for x in (*range(1, 301), 2**20 + 2000, 10**6, 10**7):
+        for y in (*ys, x, x + 1):
+            assert count_S(x, y) == _count_S_marks(x, y), (x, y)
+    for y in (*ys, 2000, 2001):
+        assert count_S(2000, y) == brute.count_S(2000, y), y
+
+
+def test_count_S_at_range_limit_in_sqrt_memory():
+    # every n is in S at y < 4 unless squarefree; Q(10**10) = 6079270942 (OEIS A071172)
+    tracemalloc.start()
+    try:
+        assert count_S(10**10, 1) == 10**10 - 6079270942
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_is_in_S_matches_brute():
@@ -162,3 +195,5 @@ def test_budgets_admit_target_sizes(monkeypatch):
     assert psi(10**9, 100) == 10**9
     assert phi_smooth_count(10**8, 100) == 10**8
     assert sigma_smooth_count(6 * 10**7, 100) == 6 * 10**7
+    # count_S is stubbed nowhere: it holds no O(x) array (a segmented mark sieve agrees)
+    assert count_S(10**10, 100) == 522956440
