@@ -26,8 +26,10 @@ SCALAR_LIMIT = 1 << 63
 TABLE_LIMIT = 1 << 48
 U64_MAX = (1 << 64) - 1
 
-# Entries per sieve segment.  Tuning only: results must not depend on it.
+# Entries per sieve segment, and per chunk of a segment's cofactor pass.
+# Tuning only: results must not depend on them.
 DEFAULT_SEGMENT = 1 << 20
+_TAIL_CHUNK = 1 << 16
 
 
 def _simple_primes(limit: int) -> np.ndarray:
@@ -42,16 +44,19 @@ def _simple_primes(limit: int) -> np.ndarray:
 
 # Up-front limits, so that a request which would exhaust memory or sieve for
 # days is refused with CapacityError instead.  _MEMORY_BUDGET caps, in bytes,
-# the 8 B per entry table that build_table or largest_factor_table allocates.
+# the 8 B per entry table that build_table or largest_factor_table allocates
+# and the 1 B per entry y-smooth table of the sigma and phi smooth counters.
 # _SIEVE_LIMIT caps how many integers one block map or one smooth counter
-# walks: ~5 min for psi (psi(10**7, 100) took 0.28 s) and ~16 min for a
-# one-table sigma search (9537 tables of 2**20 entries, 0.059 s each near
-# 10**8 and 0.12 s near 10**10), in one process on a 2-vCPU Xeon.
+# walks: ~8 min for psi (one 2**20-entry psi segment took 0.03 s near 10**9
+# and 0.065 s near 10**10) and ~10 min for a one-table sigma search (9537
+# tables of 2**20 entries, 0.04 s each near 10**8 and 0.08 s near 10**10),
+# in one process on a 2-vCPU Xeon.
 # _WORK_LIMIT caps the base primes any search's kernel loops over, summed over
 # tables and blocks: a two-table unit search over 10**10 n with arguments up
 # to 2 * 10**10, 2 x ceil(10**10 / 2**20) blocks x pi(isqrt(2 * 10**10))
-# primes, ~2.5 * 10**8.  One 2**20-entry phi table took 0.11 s near 10**10,
-# 0.69 s near 10**12 and 2.3 s near 10**14 on that Xeon (2-3x drift by day).
+# primes, ~2.5 * 10**8.  One 2**20-entry phi table took 0.06-0.09 s near
+# 10**10, 0.34-0.51 s near 10**12 and 0.94-1.65 s near 10**14 on that Xeon
+# (2-3x drift by day).
 _MEMORY_BUDGET = 1 << 30
 _SIEVE_LIMIT = 10**10
 _WORK_LIMIT = 2 * -(-_SIEVE_LIMIT // DEFAULT_SEGMENT) * _simple_primes(isqrt(2 * _SIEVE_LIMIT)).size
@@ -230,7 +235,8 @@ class Kind(enum.Enum):
 
     def local(self, pe: np.ndarray, p: int | None = None) -> np.ndarray:
         """The sieve's rule: f at the uint64 array pe of powers of the prime p,
-        or of 1 and primes if p is None.  Scalars go through _value instead.
+        or of 1 and primes if p is None, so local(p) == local(p, p) at every
+        prime p as _sieve_segment requires.  Scalars go through _value instead.
         """
         if self is Kind.SIGMA:
             # 1 + p + ... + p**e, without forming p**(e+1), which can pass 2**64
@@ -264,13 +270,18 @@ def _progression_hits(lo: int, step: int, q: int) -> tuple[int, int] | None:
 def _sieve_segment(
     lo: int, primes: np.ndarray, local, out: np.ndarray, step: int = 1
 ) -> None:
-    """Write f(lo + step*j) for j in [0, out.size) into out, f multiplicative.
+    """Write g(lo + step*j) for j in [0, out.size) into out, g multiplicative.
 
-    Every prime power p**e <= hi that divides a term is visited through a
-    strided view and contributes local(p**e, p); the cofactor q left after
-    them is 1 or a single prime > sqrt(hi) and contributes local(q).  The
-    terms divisible by p**e are those with j = j_e (mod m_e), a sub-progression
-    of the terms divisible by p, since m_1 divides m_e.
+    local is the caller's rule: local(pe, p) is g at the uint64 array pe of
+    powers of the prime p, and local(q) is g at the uint64 array q of 1s and
+    primes, so that local(p) == local(p, p) at every prime p.  One call
+    local(primes) gives g(p) at every prime that divides a term; a prime p
+    whose square divides no term then costs two scalar strided multiplies,
+    and one whose square does makes one local(p**e, p) call on just those
+    terms.  The terms divisible by p**e are those with j = j_e (mod m_e), a
+    sub-progression of the terms divisible by p, since m_1 divides m_e.  The
+    cofactor q left after every p <= sqrt(hi) is 1 or a single prime and
+    contributes local(q).
     """
     size = out.size
     hi = lo + step * (size - 1)
@@ -278,9 +289,12 @@ def _sieve_segment(
     starts = (-lo) % primes
     # p divides no term unless it divides some integer in [lo, hi]
     hit = starts <= hi - lo
+    primes, starts = primes[hit], starts[hit]
     out[:] = 1
-    factored = np.ones(size, dtype=np.uint64)  # product of the p**e found so far
-    for p, start in zip(primes[hit].tolist(), starts[hit].tolist()):
+    # the product of the p**e found so far divides its term, so below 2**32 it fits in 4 bytes
+    factored = np.ones(size, dtype=np.uint32 if hi < 1 << 32 else np.uint64)
+    at_primes = local(primes.astype(np.uint64)).tolist()
+    for p, start, at_p in zip(primes.tolist(), starts.tolist(), at_primes):
         if step == 1:
             stride = p
         else:
@@ -288,21 +302,33 @@ def _sieve_segment(
             if found is None or found[0] >= size:
                 continue
             start, stride = found
-        # power[i] is the p**e exactly dividing the term j = start + i*stride
-        power = np.full(len(range(start, size, stride)), p, dtype=np.uint64)
+        factored[start::stride] *= p
+        levels = []  # (j_e, m_e) for e >= 2
         pe = p * p
         while pe <= hi:
             found = ((-lo) % pe, pe) if step == 1 else _progression_hits(lo, step, pe)
             if found is None or found[0] >= size:
                 break
-            first, m = found
-            power[(first - start) // stride :: m // stride] *= p
+            factored[found[0] :: found[1]] *= p
+            levels.append(found)
             pe *= p
-        factored[start::stride] *= power
-        out[start::stride] *= local(power, p)
-    terms = np.arange(lo, hi + 1, step, dtype=np.uint64)
-    np.floor_divide(terms, factored, out=factored)  # the cofactors
-    out *= local(factored)
+        if not levels:
+            out[start::stride] *= at_p
+            continue
+        first, m = levels[0]
+        # sub[i] is the p**e exactly dividing the term j = first + i*m, then g of it
+        sub = np.full(len(range(first, size, m)), p * p, dtype=np.uint64)
+        for first_e, m_e in levels[1:]:
+            sub[(first_e - first) // m :: m_e // m] *= p
+        sub = local(sub, p)
+        compact = np.full(len(range(start, size, stride)), at_p, dtype=out.dtype)
+        compact[(first - start) // stride :: m // stride] = sub
+        out[start::stride] *= compact
+    # in chunks, so that the tail holds no second full-size uint64 array
+    for i in range(0, size, _TAIL_CHUNK):
+        j = min(i + _TAIL_CHUNK, size)
+        terms = np.arange(lo + i * step, lo + j * step, step, dtype=np.uint64)
+        out[i:j] *= local(terms // factored[i:j])
 
 
 def build_table(lo: int, hi: int, kind: Kind, step: int = 1) -> np.ndarray:

@@ -263,8 +263,7 @@ def consecutive_multiperfect_search(xmax: int, threads: int = 1) -> list[int]:
     def scan(block: tuple[int, int]) -> list[int]:
         lo, hi = block
         values = arith.build_table(lo, hi + 1, Kind.SIGMA)  # one past hi for the m+1 check
-        ns = np.arange(lo, hi + 2, dtype=np.uint64)
-        divisible = values % ns == 0
+        divisible = np.remainder(values, np.arange(lo, hi + 2, dtype=np.uint64), out=values) == 0
         both = divisible[:-1] & divisible[1:]
         return [lo + int(i) for i in np.nonzero(both)[0]]
 

@@ -36,25 +36,36 @@ def _check_xy(x: int, y) -> None:
         raise CapacityError(f"x must be <= {arith._SIEVE_LIMIT}, got {x}")
 
 
+def _segments(x: int, local):
+    """Yield (lo, mask) with mask[i] = (g(lo + i) != 0) for 1 <= lo + i <= x, one kernel
+    segment at a time, g multiplicative with g(p**e) = local(p**e, p).  The next segment
+    overwrites mask.
+    """
+    primes = arith._simple_primes(math.isqrt(x))
+    buffer = np.empty(arith.DEFAULT_SEGMENT, dtype=bool)
+    for lo in range(1, x + 1, buffer.size):
+        out = buffer[: x - lo + 1]
+        arith._sieve_segment(lo, primes, local, out)
+        yield lo, out
+
+
 def _count(x: int, local) -> int:
     """Count of n <= x with g(n) != 0, for the multiplicative g with g(p**e) = local(p**e, p).
 
     For multiplicative f, f(n) is y-smooth iff f(p**e) is for every p**e || n.
     """
-    primes = arith._simple_primes(math.isqrt(x))
-    buffer = np.empty(arith.DEFAULT_SEGMENT, dtype=bool)
-    total = 0
-    for lo in range(1, x + 1, buffer.size):
-        out = buffer[: x - lo + 1]
-        arith._sieve_segment(lo, primes, local, out)
-        total += int(np.count_nonzero(out))
-    return total
+    return sum(int(np.count_nonzero(mask)) for _, mask in _segments(x, local))
+
+
+def _psi_rule(y):
+    """The sieve rule of psi: p**e is y-smooth iff p <= y."""
+    return lambda pe, p=None: (pe if p is None else p) <= y
 
 
 def psi(x: int, y: int) -> int:
     """Count of n <= x all of whose prime factors are <= y (n = 1 counts)."""
     _check_xy(x, y)
-    return _count(x, lambda pe, p=None: (pe if p is None else p) <= y)
+    return _count(x, _psi_rule(y))
 
 
 def _in_S(fac: arith.Factorization, y) -> bool:
@@ -87,18 +98,44 @@ def count_S(x: int, y) -> int:
     return x - free(x, 0)
 
 
+def _smooth_table(limit: int, y) -> np.ndarray:
+    """bool array t with t[m] = (m is y-smooth) for 1 <= m <= limit; t[0] is unset."""
+    table = np.empty(limit + 1, dtype=bool)
+    for lo, mask in _segments(limit, _psi_rule(y)):
+        table[lo : lo + mask.size] = mask
+    return table
+
+
+def _f_smooth_count(kind: arith.Kind, x: int, y) -> int:
+    """Count of n <= x with f(n) y-smooth, f = sigma or phi.
+
+    f(p**e) is looked up in a y-smooth table of 0..x+1 when it is at most x+1, which holds
+    for f(q) = q +- 1 at every prime q <= x; the few sigma(p**e) above it are tested exactly.
+    """
+    _check_xy(x, y)
+    arith._check_bytes(x + 2)
+    smooth = _smooth_table(x + 1, y)
+
+    def local(pe, p=None):
+        values = kind.local(pe, p)
+        if p is None or values.max() <= x + 1:  # f(q) = q +- 1 <= x + 1 at 1 and the primes q <= x
+            return smooth[values]
+        big = values > x + 1
+        out = smooth[np.where(big, 1, values)]
+        out[big] = [arith.largest_prime_factor(int(v)) <= y for v in values[big]]
+        return out
+
+    return _count(x, local)
+
+
 def phi_smooth_count(x: int, y: int) -> int:
     """Count of n <= x whose totient has no prime factor > y."""
-    _check_xy(x, y)
-    rough = arith.largest_factor_table(x) > y  # phi(p**e) <= x
-    return _count(x, lambda pe, p=None: ~rough[arith.Kind.PHI.local(pe, p)])
+    return _f_smooth_count(arith.Kind.PHI, x, y)
 
 
 def sigma_smooth_count(x: int, y: int) -> int:
     """Count of n <= x whose divisor sum has no prime factor > y."""
-    _check_xy(x, y)
-    rough = arith.largest_factor_table(2 * x) > y  # sigma(p**e) < 2*p**e <= 2*x
-    return _count(x, lambda pe, p=None: ~rough[arith.Kind.SIGMA.local(pe, p)])
+    return _f_smooth_count(arith.Kind.SIGMA, x, y)
 
 
 def bound_debruijn(x, y) -> float:

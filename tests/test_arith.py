@@ -1,4 +1,6 @@
+import random
 import time
+import tracemalloc
 from math import prod
 
 import numpy as np
@@ -188,6 +190,57 @@ def test_build_table_at_capacity():
             fac = factorize(n)  # scalar sigma and phi from one factorization
             assert s == prod((p ** (e + 1) - 1) // (p - 1) for p, e in fac), n
             assert t == prod(p ** (e - 1) * (p - 1) for p, e in fac), n
+
+
+def test_local_rule_contract():
+    # the kernel reads f(p) at every prime off one local(primes) call
+    ps = [2, 3, 5, 7919, 65521, (1 << 32) - 5, (1 << 61) - 1]
+    for kind in Kind:
+        at_primes = kind.local(np.array(ps, dtype=np.uint64))
+        assert at_primes.dtype == np.uint64
+        pairs = [kind.local(np.array([p], dtype=np.uint64), p) for p in ps]
+        assert at_primes.tolist() == [int(v[0]) for v in pairs] == [kind.evaluate(p) for p in ps]
+
+
+def test_table_matches_scalars_across_2_32(monkeypatch):
+    # the kernel's scratch is 4 B per entry below 2**32 and 8 B above; segments
+    # and cofactor chunks here fall on both sides of it and straddle it
+    lo, hi = (1 << 32) - 1000, (1 << 32) + 1000
+    facs = [factorize(n) for n in range(lo, hi + 1)]
+    expected = {
+        kind: [arith._value(kind, n, f) for n, f in zip(range(lo, hi + 1), facs)] for kind in Kind
+    }
+    for seg, chunk in ((7, 3), (1000, 64), (DEFAULT_SEGMENT, arith._TAIL_CHUNK)):
+        monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
+        monkeypatch.setattr(arith, "_TAIL_CHUNK", chunk)
+        for kind in Kind:
+            assert build_table(lo, hi, kind).tolist() == expected[kind], (seg, chunk, kind)
+
+
+def test_stepped_tables_match_scalars_at_random_offsets():
+    rng = random.Random(20100601)
+    for _ in range(6):
+        # steps with small prime factors, so that some primes divide every term or none
+        step = rng.choice((1, 2, 6, 30, 210)) * rng.randrange(1, 40)
+        lo = rng.randrange(1, 1 << 47)
+        hi = lo + 100 * step
+        facs = [factorize(n) for n in range(lo, hi + 1, step)]
+        for kind in Kind:
+            expected = [arith._value(kind, n, f) for n, f in zip(range(lo, hi + 1, step), facs)]
+            assert build_table(lo, hi, kind, step=step).tolist() == expected, (lo, step, kind)
+
+
+def test_table_scratch_peak():
+    # the 8 MiB output, 4 B per entry of scratch below 2**32 and the compact
+    # arrays of p = 2 come to about 19.6 MiB
+    build_table(1, 100, Kind.SIGMA)
+    tracemalloc.start()
+    try:
+        build_table(1, 2**20 + 1, Kind.SIGMA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21 * 2**20
 
 
 STEPS = [*range(1, 41), 64, 81, 210, 1024, 2310]

@@ -7,6 +7,7 @@ import pytest
 import brute
 from sigmaphi import smoothness
 from sigmaphi import (
+    CapacityError,
     DomainError,
     Kind,
     UsageError,
@@ -57,8 +58,10 @@ def test_psi_monotone_and_saturating():
 
 
 def test_counters_match_brute_small_grid():
+    # x = 121 and 300 reach sigma(p**e) > x + 1 (11**2, 17**2, 2**8), which the counters
+    # test by factoring instead of by table lookup
     for x in (1, 2, 30, 121, 300):
-        for y in range(1, x + 1, max(1, x // 9)):
+        for y in (*range(1, x + 1, max(1, x // 9)), 2, x + 2):
             assert psi(x, y) == brute.psi(x, y)
             assert count_S(x, y) == brute.count_S(x, y)
             assert phi_smooth_count(x, y) == brute.phi_smooth_count(x, y)
@@ -72,7 +75,7 @@ def test_counters_span_segments():
     sigmas = build_table(1, x, Kind.SIGMA).astype(np.int64)
     phis = build_table(1, x, Kind.PHI).astype(np.int64)
     lpf = largest_factor_table(int(sigmas.max()))
-    for y in (1, 100, 1100):
+    for y in (1, 2, 100, 1100, x + 2):
         assert psi(x, y) == np.count_nonzero(lpf[1 : x + 1] <= y)
         assert phi_smooth_count(x, y) == np.count_nonzero(lpf[phis] <= y)
         assert sigma_smooth_count(x, y) == np.count_nonzero(lpf[sigmas] <= y)
@@ -188,12 +191,21 @@ def test_counter_validation():
             is_in_S(12, y)
 
 
+def test_smooth_counts_at_1e7():
+    # the values of the largest_factor_table(2x) and (x) lookups these counters replaced
+    assert sigma_smooth_count(10**7, 100) == 3826550
+    assert phi_smooth_count(10**7, 100) == 3917490
+
+
 def test_budgets_admit_target_sizes(monkeypatch):
     # with the sieves stubbed out, only the up-front limits run
     monkeypatch.setattr(smoothness, "_count", lambda x, local: x)
-    monkeypatch.setattr(smoothness.arith, "largest_factor_table", lambda limit: np.ones(1))
+    monkeypatch.setattr(smoothness, "_smooth_table", lambda limit, y: None)
     assert psi(10**9, 100) == 10**9
-    assert phi_smooth_count(10**8, 100) == 10**8
-    assert sigma_smooth_count(6 * 10**7, 100) == 6 * 10**7
+    # sigma and phi hold one (x + 2)-byte y-smooth table, under the 1 GiB budget to 2**30 - 2
+    for counter in (phi_smooth_count, sigma_smooth_count):
+        assert counter(10**9, 100) == 10**9
+        with pytest.raises(CapacityError, match="budget"):
+            counter(2**30 - 1, 100)
     # count_S is stubbed nowhere: it holds no O(x) array (a segmented mark sieve agrees)
     assert count_S(10**10, 100) == 522956440
