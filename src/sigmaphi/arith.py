@@ -47,16 +47,19 @@ def _simple_primes(limit: int) -> np.ndarray:
 # the 8 B per entry table that build_table or largest_factor_table allocates
 # and the 1 B per entry y-smooth table of the sigma and phi smooth counters.
 # _SIEVE_LIMIT caps how many integers one block map or one smooth counter
-# walks: ~8 min for psi (one 2**20-entry psi segment took 0.03 s near 10**9
-# and 0.065 s near 10**10) and ~10 min for a one-table sigma search (9537
-# tables of 2**20 entries, 0.04 s each near 10**8 and 0.08 s near 10**10),
-# in one process on a 2-vCPU Xeon.
+# walks: ~3-6 min for psi (2**20 integers of psi took 0.014 s near 10**9 and
+# 0.019 s near 10**10 at y = 100, 0.033 s and 0.037 s at y = 10**5) and
+# ~8 min for a one-table sigma search (9537 tables of 2**20 entries, 0.043 s
+# each near 10**8 and 0.052 s near 10**10), in one process on a 2-vCPU Xeon.
 # _WORK_LIMIT caps the base primes any search's kernel loops over, summed over
 # tables and blocks: a two-table unit search over 10**10 n with arguments up
 # to 2 * 10**10, 2 x ceil(10**10 / 2**20) blocks x pi(isqrt(2 * 10**10))
-# primes, ~2.5 * 10**8.  One 2**20-entry phi table took 0.06-0.09 s near
-# 10**10, 0.34-0.51 s near 10**12 and 0.94-1.65 s near 10**14 on that Xeon
-# (2-3x drift by day).
+# primes, ~2.5 * 10**8.  Unit-step tables loop only over their primes below
+# 2**10 and those whose square divides a term, and apply the rest on the
+# kernel's vectorised path, so for them the count overstates the work: one
+# 2**20-entry phi table took 0.042 s near 10**8, 0.051 s near 10**10,
+# 0.077 s near 10**12 and 0.168 s near 10**14 on that Xeon (medians of 5;
+# 2-3x drift by day).  Stepped tables loop over every base prime that hits.
 _MEMORY_BUDGET = 1 << 30
 _SIEVE_LIMIT = 10**10
 _WORK_LIMIT = 2 * -(-_SIEVE_LIMIT // DEFAULT_SEGMENT) * _simple_primes(isqrt(2 * _SIEVE_LIMIT)).size
@@ -267,6 +270,19 @@ def _progression_hits(lo: int, step: int, q: int) -> tuple[int, int] | None:
     return (-lo // g) * pow(step // g, -1, m) % m, m
 
 
+def _segment(step: int) -> int:
+    """Entries per kernel segment of a table of every step-th integer.
+
+    Unit-step tables sieve a quarter of DEFAULT_SEGMENT, which keeps the
+    kernel's per-segment scratch small; their large primes cost no Python
+    iteration, so more segments cost little.  Stepped tables keep
+    DEFAULT_SEGMENT: split the same way, search f(2n+1) = f(3n+1) to 10**6
+    ran 11% slower (3 wins in 20 alternating pairs), while the kernel alone
+    was neutral there (139 vs 141 ms).
+    """
+    return DEFAULT_SEGMENT if step > 1 else max(1, DEFAULT_SEGMENT >> 2)
+
+
 def _sieve_segment(
     lo: int, primes: np.ndarray, local, out: np.ndarray, step: int = 1
 ) -> None:
@@ -274,11 +290,16 @@ def _sieve_segment(
 
     local is the caller's rule: local(pe, p) is g at the uint64 array pe of
     powers of the prime p, and local(q) is g at the uint64 array q of 1s and
-    primes, so that local(p) == local(p, p) at every prime p.  One call
-    local(primes) gives g(p) at every prime that divides a term; a prime p
-    whose square divides no term then costs two scalar strided multiplies,
-    and one whose square does makes one local(p**e, p) call on just those
-    terms.  The terms divisible by p**e are those with j = j_e (mod m_e), a
+    primes, so that local(p) == local(p, p) at every prime p.
+
+    In a unit-step segment of size entries, the primes p >= size >> 8 whose
+    square divides no term hit about 256 terms at most and contribute exactly
+    p and g(p) to each: all their hits are applied at once, with
+    np.multiply.at, which stays exact when two of them divide one term.
+    Every other prime costs one Python iteration: a strided multiply by p of
+    the product of the p**e found so far, one by g(p) unless g(p) == 1, and,
+    if p**2 divides a term, one local(p**e, p) call on just those terms.  The
+    terms divisible by p**e are those with j = j_e (mod m_e), a
     sub-progression of the terms divisible by p, since m_1 divides m_e.  The
     cofactor q left after every p <= sqrt(hi) is 1 or a single prime and
     contributes local(q).
@@ -293,6 +314,20 @@ def _sieve_segment(
     out[:] = 1
     # the product of the p**e found so far divides its term, so below 2**32 it fits in 4 bytes
     factored = np.ones(size, dtype=np.uint32 if hi < 1 << 32 else np.uint64)
+    if step == 1:
+        bulk = (primes >= size >> 8) & ((-lo) % (primes * primes) > hi - lo)
+        large, large_starts = primes[bulk], starts[bulk]
+        primes, starts = primes[~bulk], starts[~bulk]
+        counts = (size - 1 - large_starts) // large + 1
+        strides = np.repeat(large, counts)
+        # hit k of a prime is its start plus k strides; k counts up from each run's head
+        index = np.arange(strides.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        index *= strides
+        index += np.repeat(large_starts, counts)
+        np.multiply.at(factored, index, strides.astype(factored.dtype))
+        del strides
+        np.multiply.at(out, index, np.repeat(local(large.astype(np.uint64)), counts))
+        del index
     at_primes = local(primes.astype(np.uint64)).tolist()
     for p, start, at_p in zip(primes.tolist(), starts.tolist(), at_primes):
         if step == 1:
@@ -313,7 +348,8 @@ def _sieve_segment(
             levels.append(found)
             pe *= p
         if not levels:
-            out[start::stride] *= at_p
+            if at_p != 1:
+                out[start::stride] *= at_p
             continue
         first, m = levels[0]
         # sub[i] is the p**e exactly dividing the term j = first + i*m, then g of it
@@ -321,9 +357,13 @@ def _sieve_segment(
         for first_e, m_e in levels[1:]:
             sub[(first_e - first) // m :: m_e // m] *= p
         sub = local(sub, p)
-        compact = np.full(len(range(start, size, stride)), at_p, dtype=out.dtype)
-        compact[(first - start) // stride :: m // stride] = sub
-        out[start::stride] *= compact
+        if at_p == 1:
+            out[first::m] *= sub
+        else:
+            # the level terms take g(p**e) in place of g(p)
+            saved = out[first::m] * sub
+            out[start::stride] *= at_p
+            out[first::m] = saved
     # in chunks, so that the tail holds no second full-size uint64 array
     for i in range(0, size, _TAIL_CHUNK):
         j = min(i + _TAIL_CHUNK, size)
@@ -337,8 +377,10 @@ def build_table(lo: int, hi: int, kind: Kind, step: int = 1) -> np.ndarray:
     f is sigma or phi.  Only the terms of the progression are sieved, so a
     table of every a-th integer costs about 1/a of the dense one.  Memory is
     O((hi - lo) / step) for the output plus O(sqrt(hi)) for base primes;
-    construction walks the terms in segments of DEFAULT_SEGMENT entries.  An
-    output over _MEMORY_BUDGET bytes is refused with CapacityError.
+    construction walks the terms in segments of _segment(step) entries,
+    DEFAULT_SEGMENT / 4 at step 1 and DEFAULT_SEGMENT otherwise, so the
+    kernel's scratch stays a fraction of the output.  An output over
+    _MEMORY_BUDGET bytes is refused with CapacityError.
     """
     if lo < 1 or hi < lo:
         raise UsageError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
@@ -351,8 +393,9 @@ def build_table(lo: int, hi: int, kind: Kind, step: int = 1) -> np.ndarray:
     _check_bytes(8 * ((hi - lo) // step + 1))
     primes = _simple_primes(isqrt(hi))
     out = np.empty((hi - lo) // step + 1, dtype=np.uint64)
-    for i in range(0, out.size, DEFAULT_SEGMENT):
-        _sieve_segment(lo + i * step, primes, kind.local, out[i : i + DEFAULT_SEGMENT], step)
+    segment = _segment(step)
+    for i in range(0, out.size, segment):
+        _sieve_segment(lo + i * step, primes, kind.local, out[i : i + segment], step)
     return out
 
 

@@ -131,9 +131,10 @@ def _check_work(spec: EquationSpec, lo: int, hi: int, span: int) -> None:
     """Refuse, with CapacityError, a search past 2**48 or arith._WORK_LIMIT.
 
     search's one up-front check, for every spec.  Each table of each block
-    loops in Python over the base primes up to the square root of its
-    largest argument, so the work is counted as tables per block x blocks x
-    pi(isqrt(largest argument)).  A block holds span values of n, only
+    reduces its start modulo every base prime up to the square root of its
+    largest argument, and a stepped table loops over them in Python, so the
+    work is counted as tables per block x blocks x pi(isqrt(largest
+    argument)), at every step.  A block holds span values of n, only
     2**20 / a of them by default, so large multipliers cost far more per n
     than the range check allows for, and so do large offsets.
     """

@@ -263,7 +263,11 @@ def consecutive_multiperfect_search(xmax: int, threads: int = 1) -> list[int]:
     def scan(block: tuple[int, int]) -> list[int]:
         lo, hi = block
         values = arith.build_table(lo, hi + 1, Kind.SIGMA)  # one past hi for the m+1 check
-        divisible = np.remainder(values, np.arange(lo, hi + 2, dtype=np.uint64), out=values) == 0
+        # sigma(m) % m in place, in slices, so that no second block-size array is held
+        for i in range(0, values.size, arith._TAIL_CHUNK):
+            chunk = values[i : i + arith._TAIL_CHUNK]
+            np.remainder(chunk, np.arange(lo + i, lo + i + chunk.size, dtype=np.uint64), out=chunk)
+        divisible = values == 0
         both = divisible[:-1] & divisible[1:]
         return [lo + int(i) for i in np.nonzero(both)[0]]
 

@@ -36,36 +36,45 @@ def _check_xy(x: int, y) -> None:
         raise CapacityError(f"x must be <= {arith._SIEVE_LIMIT}, got {x}")
 
 
-def _segments(x: int, local):
+def _segments(x: int, local, bound: int | None = None):
     """Yield (lo, mask) with mask[i] = (g(lo + i) != 0) for 1 <= lo + i <= x, one kernel
     segment at a time, g multiplicative with g(p**e) = local(p**e, p).  The next segment
-    overwrites mask.
+    overwrites mask.  The kernel sieves the primes <= min(bound, isqrt(x)) and hands it
+    the rest of each n as one cofactor, which bound is for the caller to make exact.
     """
-    primes = arith._simple_primes(math.isqrt(x))
-    buffer = np.empty(arith.DEFAULT_SEGMENT, dtype=bool)
+    top = math.isqrt(x) if bound is None else min(bound, math.isqrt(x))
+    primes = arith._simple_primes(top)
+    buffer = np.empty(arith._segment(1), dtype=bool)
     for lo in range(1, x + 1, buffer.size):
         out = buffer[: x - lo + 1]
         arith._sieve_segment(lo, primes, local, out)
         yield lo, out
 
 
-def _count(x: int, local) -> int:
+def _count(x: int, local, bound: int | None = None) -> int:
     """Count of n <= x with g(n) != 0, for the multiplicative g with g(p**e) = local(p**e, p).
 
-    For multiplicative f, f(n) is y-smooth iff f(p**e) is for every p**e || n.
+    For multiplicative f, f(n) is y-smooth iff f(p**e) is for every p**e || n.  bound caps
+    the base primes, as in _segments.
     """
-    return sum(int(np.count_nonzero(mask)) for _, mask in _segments(x, local))
+    return sum(int(np.count_nonzero(mask)) for _, mask in _segments(x, local, bound))
 
 
 def _psi_rule(y):
-    """The sieve rule of psi: p**e is y-smooth iff p <= y."""
+    """The sieve rule of psi: p**e is y-smooth iff p <= y.
+
+    It needs the primes <= min(y, isqrt(x)) only (bound int(y)).  If y <= isqrt(x), the
+    cofactor left after the primes <= y is a product of primes > y, so "cofactor <= y" holds
+    iff it is 1, that is iff n is y-smooth.  Otherwise it is 1 or one prime, as with every
+    base prime.
+    """
     return lambda pe, p=None: (pe if p is None else p) <= y
 
 
 def psi(x: int, y: int) -> int:
     """Count of n <= x all of whose prime factors are <= y (n = 1 counts)."""
     _check_xy(x, y)
-    return _count(x, _psi_rule(y))
+    return _count(x, _psi_rule(y), int(y))
 
 
 def _in_S(fac: arith.Factorization, y) -> bool:
@@ -101,7 +110,7 @@ def count_S(x: int, y) -> int:
 def _smooth_table(limit: int, y) -> np.ndarray:
     """bool array t with t[m] = (m is y-smooth) for 1 <= m <= limit; t[0] is unset."""
     table = np.empty(limit + 1, dtype=bool)
-    for lo, mask in _segments(limit, _psi_rule(y)):
+    for lo, mask in _segments(limit, _psi_rule(y), int(y)):
         table[lo : lo + mask.size] = mask
     return table
 

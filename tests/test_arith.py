@@ -202,19 +202,60 @@ def test_local_rule_contract():
         assert at_primes.tolist() == [int(v[0]) for v in pairs] == [kind.evaluate(p) for p in ps]
 
 
+def _scalar_values(lo: int, hi: int) -> dict:
+    facs = [factorize(n) for n in range(lo, hi + 1)]
+    return {kind: [arith._value(kind, n, f) for n, f in zip(range(lo, hi + 1), facs)] for kind in Kind}
+
+
 def test_table_matches_scalars_across_2_32(monkeypatch):
     # the kernel's scratch is 4 B per entry below 2**32 and 8 B above; segments
     # and cofactor chunks here fall on both sides of it and straddle it
     lo, hi = (1 << 32) - 1000, (1 << 32) + 1000
-    facs = [factorize(n) for n in range(lo, hi + 1)]
-    expected = {
-        kind: [arith._value(kind, n, f) for n, f in zip(range(lo, hi + 1), facs)] for kind in Kind
-    }
+    expected = _scalar_values(lo, hi)
     for seg, chunk in ((7, 3), (1000, 64), (DEFAULT_SEGMENT, arith._TAIL_CHUNK)):
         monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
         monkeypatch.setattr(arith, "_TAIL_CHUNK", chunk)
         for kind in Kind:
             assert build_table(lo, hi, kind).tolist() == expected[kind], (seg, chunk, kind)
+
+
+# A unit-step segment of size entries takes the primes >= size >> 8 whose square divides
+# no term on its vectorised path.  DEFAULT_SEGMENT = 1 and 7 give 1-entry segments, where
+# that threshold is 0; 2**12 and 2**20 leave small primes on the loop and send larger ones
+# down the path; a 70000-entry table from 1 has no base prime at or past its threshold.
+SEGMENTS = (1, 7, 1 << 12, 1 << 20)
+
+
+def test_unit_tables_match_scalars_at_any_threshold(monkeypatch):
+    rng = random.Random(20100602)
+    windows = [((1 << 32) - 700, (1 << 32) + 700), (1, 70_000)]
+    windows += [(lo, lo + 600) for lo in (rng.randrange(1, 1 << 47) for _ in range(4))]
+    for lo, hi in windows:
+        expected = _scalar_values(lo, hi)
+        for seg in SEGMENTS:
+            # a 1-entry segment reduces lo modulo every base prime, so those run on 8 terms
+            top = hi if seg > 7 else lo + 7
+            monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
+            for kind in Kind:
+                table = build_table(lo, top, kind).tolist()
+                assert table == expected[kind][: top - lo + 1], (lo, seg, kind)
+            monkeypatch.undo()
+
+
+def test_vectorised_primes_share_a_term():
+    # n = p*q*97 near 10**14 with p, q > 10**6: in a 4096-entry window around it both
+    # primes are past the threshold (16) and their squares divide no term, so the path
+    # applies both to one term
+    p, q = 1_000_003, 1_000_033
+    n = p * q * 97
+    lo, hi = n - 2048, n + 2047
+    assert is_prime(p) and is_prime(q)
+    assert all((-lo) % (r * r) > hi - lo for r in (p, q))
+    expected = _scalar_values(lo, hi)
+    for kind in Kind:
+        values = build_table(lo, hi, kind).tolist()
+        assert values == expected[kind], kind
+        assert values[n - lo] == kind.evaluate(p) * kind.evaluate(q) * kind.evaluate(97)
 
 
 def test_stepped_tables_match_scalars_at_random_offsets():
@@ -231,8 +272,8 @@ def test_stepped_tables_match_scalars_at_random_offsets():
 
 
 def test_table_scratch_peak():
-    # the 8 MiB output, 4 B per entry of scratch below 2**32 and the compact
-    # arrays of p = 2 come to about 19.6 MiB
+    # the 8 MiB output plus one 2**18-entry segment's scratch: 4 B per entry below
+    # 2**32, and the level arrays of p = 2 and the cofactor chunks, come to about 10.6 MiB
     build_table(1, 100, Kind.SIGMA)
     tracemalloc.start()
     try:
@@ -240,7 +281,7 @@ def test_table_scratch_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 21 * 2**20
+    assert peak <= 11 * 2**20
 
 
 STEPS = [*range(1, 41), 64, 81, 210, 1024, 2310]

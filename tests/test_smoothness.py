@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import brute
-from sigmaphi import smoothness
+from sigmaphi import arith, smoothness
 from sigmaphi import (
     CapacityError,
     DomainError,
@@ -79,6 +79,19 @@ def test_counters_span_segments():
         assert psi(x, y) == np.count_nonzero(lpf[1 : x + 1] <= y)
         assert phi_smooth_count(x, y) == np.count_nonzero(lpf[phis] <= y)
         assert sigma_smooth_count(x, y) == np.count_nonzero(lpf[sigmas] <= y)
+
+
+def test_counters_at_small_segments(monkeypatch):
+    # DEFAULT_SEGMENT = 7 gives 1-entry segments, whose threshold is 0: every prime whose
+    # square divides no term takes the kernel's vectorised path, here on bool outputs;
+    # 2**12 gives 1024-entry segments, which split the primes between the path and the loop
+    for seg, x in ((7, 300), (1 << 12, 3000)):
+        monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
+        for y in (1, 2, 10, 53, x + 2):
+            assert psi(x, y) == brute.psi(x, y), (seg, y)
+            assert phi_smooth_count(x, y) == brute.phi_smooth_count(x, y), (seg, y)
+            assert sigma_smooth_count(x, y) == brute.sigma_smooth_count(x, y), (seg, y)
+        monkeypatch.undo()
 
 
 def _count_S_marks(x, y):
@@ -199,7 +212,7 @@ def test_smooth_counts_at_1e7():
 
 def test_budgets_admit_target_sizes(monkeypatch):
     # with the sieves stubbed out, only the up-front limits run
-    monkeypatch.setattr(smoothness, "_count", lambda x, local: x)
+    monkeypatch.setattr(smoothness, "_count", lambda x, local, bound=None: x)
     monkeypatch.setattr(smoothness, "_smooth_table", lambda limit, y: None)
     assert psi(10**9, 100) == 10**9
     # sigma and phi hold one (x + 2)-byte y-smooth table, under the 1 GiB budget to 2**30 - 2
