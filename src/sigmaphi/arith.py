@@ -15,6 +15,7 @@ otherwise.
 from __future__ import annotations
 
 import enum
+import threading
 from itertools import count
 from math import gcd, isqrt, prod
 
@@ -42,6 +43,31 @@ def _simple_primes(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
+# The primes <= _base[0], as _base[1]: the sieve's base primes, kept across
+# tables and grown by doubling, so that consecutive tables and blocks share
+# one sieve of them.  Grown under _base_lock, so that blocks sieved on pool
+# threads sieve them once.
+_base = (0, _simple_primes(0))
+_base_lock = threading.Lock()
+
+
+def _base_primes(limit: int) -> np.ndarray:
+    """Primes <= limit as an int64 array: a view of one cached array.
+
+    The cache grows to max(limit, twice its bound), its bound capped at
+    isqrt(TABLE_LIMIT), the most any table needs.
+    """
+    global _base
+    with _base_lock:
+        bound, primes = _base
+        if limit > bound:
+            bound = max(limit, min(2 * bound, isqrt(TABLE_LIMIT)))
+            primes = _simple_primes(bound)
+            primes.flags.writeable = False  # callers share it
+            _base = (bound, primes)
+    return primes[: np.searchsorted(primes, limit, side="right")]
+
+
 # Up-front limits, so that a request which would exhaust memory or sieve for
 # days is refused with CapacityError instead.  _MEMORY_BUDGET caps, in bytes,
 # the 8 B per entry table that build_table or largest_factor_table allocates
@@ -52,8 +78,9 @@ def _simple_primes(limit: int) -> np.ndarray:
 # ~8 min for a one-table sigma search (9537 tables of 2**20 entries, 0.043 s
 # each near 10**8 and 0.052 s near 10**10), in one process on a 2-vCPU Xeon.
 # _WORK_LIMIT caps the base primes any search's kernel loops over, summed over
-# tables and blocks: a two-table unit search over 10**10 n with arguments up
-# to 2 * 10**10, 2 x ceil(10**10 / 2**20) blocks x pi(isqrt(2 * 10**10))
+# tables and over units of 2**20 / a values of n (not blocks, which unit
+# shifts make shorter): a two-table unit search over 10**10 n with arguments
+# up to 2 * 10**10, 2 x ceil(10**10 / 2**20) units x pi(isqrt(2 * 10**10))
 # primes, ~2.5 * 10**8.  Unit-step tables loop only over their primes below
 # 2**10 and those whose square divides a term, and apply the rest on the
 # kernel's vectorised path, so for them the count overstates the work: one
@@ -283,6 +310,18 @@ def _segment(step: int) -> int:
     return DEFAULT_SEGMENT if step > 1 else max(1, DEFAULT_SEGMENT >> 2)
 
 
+def _unit_span(halo: int) -> int:
+    """Values per block of a unit-step table that reaches halo entries past its
+    block, so that the table is two whole kernel segments (at least 1 value).
+
+    One segment per table was tried: with no freed chunk over 2 MiB, glibc
+    trims the heap after each block and the next block faults it back in
+    (~15,900 minor page faults per search of f(n) = f(n + 1) to 2 * 10**6
+    for both functions, against ~24).
+    """
+    return max(1, 2 * _segment(1) - halo)
+
+
 def _sieve_segment(
     lo: int, primes: np.ndarray, local, out: np.ndarray, step: int = 1
 ) -> None:
@@ -376,11 +415,12 @@ def build_table(lo: int, hi: int, kind: Kind, step: int = 1) -> np.ndarray:
 
     f is sigma or phi.  Only the terms of the progression are sieved, so a
     table of every a-th integer costs about 1/a of the dense one.  Memory is
-    O((hi - lo) / step) for the output plus O(sqrt(hi)) for base primes;
-    construction walks the terms in segments of _segment(step) entries,
-    DEFAULT_SEGMENT / 4 at step 1 and DEFAULT_SEGMENT otherwise, so the
-    kernel's scratch stays a fraction of the output.  An output over
-    _MEMORY_BUDGET bytes is refused with CapacityError.
+    O((hi - lo) / step) for the output plus O(sqrt(hi)) for base primes,
+    which _base_primes sieves once for every table after it; construction
+    walks the terms in segments of _segment(step) entries, DEFAULT_SEGMENT / 4
+    at step 1 and DEFAULT_SEGMENT otherwise, so the kernel's scratch stays a
+    fraction of the output.  An output over _MEMORY_BUDGET bytes is refused
+    with CapacityError.
     """
     if lo < 1 or hi < lo:
         raise UsageError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
@@ -391,7 +431,7 @@ def build_table(lo: int, hi: int, kind: Kind, step: int = 1) -> np.ndarray:
     if not isinstance(kind, Kind):
         raise UsageError(f"kind must be Kind.SIGMA or Kind.PHI, got {kind!r}")
     _check_bytes(8 * ((hi - lo) // step + 1))
-    primes = _simple_primes(isqrt(hi))
+    primes = _base_primes(isqrt(hi))
     out = np.empty((hi - lo) // step + 1, dtype=np.uint64)
     segment = _segment(step)
     for i in range(0, out.size, segment):

@@ -187,6 +187,19 @@ def _emit(header: list[str], rows: list[list], as_json: bool) -> None:
             writer.writerow([_format_cell(cell) for cell in row])
 
 
+def _peak_rss_mib() -> float | None:
+    """This process's peak resident set size in MiB, from getrusage; None off Unix.
+
+    ru_maxrss is in KiB on Linux and in bytes on macOS.
+    """
+    try:
+        import resource  # here, so that importing the CLI costs no more
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
+
+
 def _manifest(command: str, args: argparse.Namespace, elapsed_ms: int, rows: int) -> dict:
     params = {
         key: value
@@ -199,6 +212,7 @@ def _manifest(command: str, args: argparse.Namespace, elapsed_ms: int, rows: int
         "version": __version__,
         "elapsed_ms": elapsed_ms,
         "rows": rows,
+        "stats": {"peak_rss_mib": _peak_rss_mib()},
     }
 
 

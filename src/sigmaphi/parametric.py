@@ -271,4 +271,4 @@ def consecutive_multiperfect_search(xmax: int, threads: int = 1) -> list[int]:
         both = divisible[:-1] & divisible[1:]
         return [lo + int(i) for i in np.nonzero(both)[0]]
 
-    return _map_blocks(scan, 1, xmax, arith.DEFAULT_SEGMENT, threads)
+    return _map_blocks(scan, 1, xmax, arith._unit_span(1), threads)

@@ -43,7 +43,7 @@ def _segments(x: int, local, bound: int | None = None):
     the rest of each n as one cofactor, which bound is for the caller to make exact.
     """
     top = math.isqrt(x) if bound is None else min(bound, math.isqrt(x))
-    primes = arith._simple_primes(top)
+    primes = arith._base_primes(top)
     buffer = np.empty(arith._segment(1), dtype=bool)
     for lo in range(1, x + 1, buffer.size):
         out = buffer[: x - lo + 1]
@@ -98,7 +98,7 @@ def count_S(x: int, y) -> int:
     the largest such j, the q_j*m with m <= t // q_j that no q_k with k > j divides: free below.
     """
     _check_xy(x, y)
-    primes = arith._simple_primes(math.isqrt(x)).tolist()
+    primes = arith._base_primes(math.isqrt(x)).tolist()
     qs = sorted(next(p**a for a in count(2) if p**a > y) for p in primes)  # the q_p
 
     def free(t: int, i: int) -> int:  # the n <= t that no q_j with j >= i divides

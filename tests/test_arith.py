@@ -1,6 +1,8 @@
 import random
+import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from math import prod
 
 import numpy as np
@@ -9,16 +11,19 @@ import pytest
 import brute
 from sigmaphi import (
     CapacityError,
+    EquationSpec,
     Kind,
     UsageError,
     arith,
     build_table,
+    consecutive_multiperfect_search,
     factorize,
     is_prime,
     largest_factor_table,
     largest_prime_factor,
     phi,
     radical,
+    search,
     sigma,
 )
 from sigmaphi.arith import DEFAULT_SEGMENT, _simple_primes
@@ -284,6 +289,25 @@ def test_table_scratch_peak():
     assert peak <= 11 * 2**20
 
 
+def test_block_scratch_peak():
+    # a default unit-shift or multiperfect block is one 2**19-entry table, two
+    # whole kernel segments: 4 MiB plus the kernel's scratch, 6.66 MiB in all
+    # (blocks of 2**20 values of n, whose tables are 2**20 + h entries, read 10.66)
+    calls = {
+        "search": lambda x: search(EquationSpec(Kind.SIGMA, 1, 0, 1, 1), x),
+        "multiperfect": consecutive_multiperfect_search,
+    }
+    for name, call in calls.items():
+        call(100)
+        tracemalloc.start()
+        try:
+            call(2**21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * 2**20, name
+
+
 STEPS = [*range(1, 41), 64, 81, 210, 1024, 2310]
 
 
@@ -389,6 +413,46 @@ def test_primes_upto():
     assert _simple_primes(0).tolist() == _simple_primes(1).tolist() == []
     assert _simple_primes(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(_simple_primes(10_000)) == 1229
+
+
+def test_base_primes_memo(monkeypatch):
+    monkeypatch.setattr(arith, "_base", (0, _simple_primes(0)))
+    for limit, bound in ((10, 10), (100, 100), (150, 200), (199, 200), (2, 200), (1000, 1000)):
+        assert np.array_equal(arith._base_primes(limit), _simple_primes(limit)), limit
+        assert arith._base[0] == bound, limit
+    # the cache's growth stops at isqrt(TABLE_LIMIT), except for a limit past it
+    monkeypatch.setattr(arith, "TABLE_LIMIT", 1500**2)
+    for limit, bound in ((1001, 1500), (1600, 1600)):
+        assert np.array_equal(arith._base_primes(limit), _simple_primes(limit)), limit
+        assert arith._base[0] == bound, limit
+    with pytest.raises(ValueError):  # callers share the cached array
+        arith._base_primes(10)[0] = 4
+
+
+def test_base_primes_memo_under_threads(monkeypatch):
+    # largest limit first, and a slow sieve: unlocked, the smaller limits would
+    # sieve again, and a lost update would shrink the cache below the largest
+    monkeypatch.setattr(arith, "_base", (0, _simple_primes(0)))
+    calls = []
+
+    def slow_primes(limit):
+        calls.append(limit)
+        time.sleep(0.02)
+        return _simple_primes(limit)
+
+    monkeypatch.setattr(arith, "_simple_primes", slow_primes)
+    limits = list(range(5000, 0, -50))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(arith._base_primes, limits, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for limit, primes in zip(limits, got):
+        assert np.array_equal(primes, _simple_primes(limit)), limit
+    assert calls == [5000]
+    assert arith._base[0] == 5000
 
 
 def test_small_prime_tuples_come_from_the_sieve():

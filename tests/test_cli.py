@@ -37,10 +37,27 @@ def test_search_csv_golden(capsys):
     assert lines[-1] == "495,495,496,240,unclassified"
     assert len(lines) == 9
     manifest = manifest_of(err)
-    assert set(manifest) == {"command", "params", "version", "elapsed_ms", "rows"}
+    assert set(manifest) == {"command", "params", "version", "elapsed_ms", "rows", "stats"}
     assert manifest["command"] == "search"
     assert manifest["rows"] == 8
     assert manifest["params"]["max"] == 500
+    assert set(manifest["stats"]) == {"peak_rss_mib"}
+    # this process holds numpy and a sieved table: tens of MiB, not KiB or GiB
+    assert 1 < manifest["stats"]["peak_rss_mib"] < 4096
+
+
+@pytest.mark.parametrize("platform,maxrss", [("linux", 48 * 1024), ("darwin", 48 * 2**20)])
+def test_manifest_peak_rss_in_mib(capsys, monkeypatch, platform, maxrss):
+    import resource
+
+    class Usage:
+        ru_maxrss = maxrss
+
+    monkeypatch.setattr(resource, "getrusage", lambda who: Usage)
+    monkeypatch.setattr(sys, "platform", platform)
+    code, _, err = invoke(["search", *EQ_PHI1, "--max", "50"], capsys)
+    assert code == 0
+    assert manifest_of(err)["stats"] == {"peak_rss_mib": 48.0}
 
 
 # sha256 of the stdout of the benchmark's search-shift smoke workload, as

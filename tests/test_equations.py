@@ -148,14 +148,16 @@ def test_search_validation():
 
 # a1 == a2 == a with both signs of d = b2 - b1 and a | d (one table per block
 # once the halo h = |d| / a is shorter than the block), and a not dividing d
-# (two tables per block); entries are (a, b1, b2)
+# (two tables per block); entries are (a, b1, b2).  The unit shifts 1, 2, 15
+# and 16 are, at a 256-entry DEFAULT_SEGMENT, the halos 1, 2, 2**16 - 1 and
+# 2**16 of the full-size default blocks.
 ONE_PROGRESSION = [(1, 0, 5), (1, 7, 0), (2, 1, 9), (2, 11, 1), (3, 2, 14), (3, 10, -2),
-                   (2, 0, 3), (3, 1, 5)]
+                   (2, 0, 3), (3, 1, 5), (1, 0, 1), (1, 0, 2), (1, 0, 15), (1, 0, 16)]
 
 
 @pytest.mark.parametrize("kind", list(Kind))
 @pytest.mark.parametrize("a,b1,b2", ONE_PROGRESSION)
-def test_one_progression_search_matches_brute(kind, a, b1, b2):
+def test_one_progression_search_matches_brute(kind, a, b1, b2, monkeypatch):
     want = brute.solutions(kind.value, a, b1, a, b2, 600)
     h = abs(b2 - b1) // a
     # blocks of at most h values of n take two tables, longer ones one table
@@ -163,6 +165,43 @@ def test_one_progression_search_matches_brute(kind, a, b1, b2):
         for threads in (1, 3):
             got = search(EquationSpec(kind, a, b1, a, b2), 600, threads, block_size)
             assert [r.n for r in got] == want, (block_size, threads)
+    # unit-step segments of 64 entries: 600 values of n cross several default
+    # blocks, 128 - h values of n each below h = 16 and 256 // a from there on
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 256)
+    for threads in (1, 3):
+        got = search(EquationSpec(kind, a, b1, a, b2), 600, threads)
+        assert [r.n for r in got] == want, threads
+
+
+# default block spans: 2**19 - h values of n for f(n) = f(n + h) with h < 2**16,
+# so that the one table is 2**19 entries, two whole unit-step kernel segments
+DEFAULT_SPANS = {(1, 0, 1, 1): 2**19 - 1, (1, 0, 1, 2**16 - 1): 2**19 - 2**16 + 1,
+                 (1, 0, 1, 2**16): 2**20}
+
+
+@pytest.mark.parametrize("h", [2**16 - 1, 2**16])
+def test_default_blocks_at_the_halo_cutoff(h):
+    # full size: at h = 2**16 - 1 the default blocks are 2**19 - h values of n,
+    # at h = 2**16 they are 2**20; 3 * 2**19 crosses three block edges of the first
+    spec = EquationSpec(Kind.PHI, 1, 0, 1, h)
+    got = search(spec, 3 * 2**19)
+    assert got == search(spec, 3 * 2**19, threads=2, block_size=100_003)
+    assert len(got) > 10
+    for rec in got:
+        assert phi(rec.arg1) == phi(rec.arg2) == rec.value
+
+
+def test_search_sieves_base_primes_once(monkeypatch):
+    real = arith._simple_primes
+    calls = []
+    monkeypatch.setattr(arith, "_simple_primes", lambda n: calls.append(n) or real(n))
+    searches = [(PHI_PLUS_1, 600, 3, 97), (SIGMA_PLUS_1, 2**20, 2, None),
+                (EquationSpec(Kind.SIGMA, 2, 1, 3, 1), 5000, 3, 700)]
+    for spec, xmax, threads, block_size in searches:
+        monkeypatch.setattr(arith, "_base", (0, real(0)))
+        calls.clear()
+        search(spec, xmax, threads, block_size)
+        assert calls == [isqrt(max(spec.arguments(xmax)))], spec
 
 
 @pytest.mark.parametrize(
@@ -174,6 +213,8 @@ def test_one_progression_search_matches_brute(kind, a, b1, b2):
         ((2, 11, 2, 1), 100, 1),
         ((2, 0, 2, 3), 100, 2),  # a does not divide b2 - b1
         ((2, 1, 3, 1), 100, 2),  # affine
+        ((1, 0, 1, 2**16 - 1), None, 1),
+        ((1, 0, 1, 2**16), None, 1),  # a quarter of a unit-step segment
     ],
 )
 def test_tables_per_block(monkeypatch, coeffs, block_size, tables):
@@ -186,10 +227,10 @@ def test_tables_per_block(monkeypatch, coeffs, block_size, tables):
 
     monkeypatch.setattr(arith, "build_table", build_table)
     spec = EquationSpec(Kind.SIGMA, *coeffs)
+    span = block_size or DEFAULT_SPANS[coeffs]
     # whole blocks only: a last block of at most h values would take two tables
-    xmax = 3 * arith.DEFAULT_SEGMENT if block_size is None else 600
+    xmax = 3 * span if block_size is None else 600
     search(spec, xmax, block_size=block_size)
-    span = block_size or arith.DEFAULT_SEGMENT
     blocks = len(range(1, xmax + 1, span))
     assert len(calls) == tables * blocks
     a, b1, _, b2 = coeffs

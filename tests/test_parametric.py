@@ -253,6 +253,27 @@ def test_generated_witnesses_classify_parametric():
                 assert verify_witness(back)
 
 
+# distinct ghp_generate solutions n <= 10**5 of phi(n) = phi(n + k), by k
+GHP_COUNTS = {2: 376, 4: 217, 6: 1134, 12: 672}
+
+
+def _ghp_solutions(k: int, x: int) -> set[int]:
+    """Every ghp_generate(j, k, r) <= x: all (j, r) with j*((j+k)*r/g + 1) <= x.
+
+    g = gcd(j, j + k) divides k, so j*((j+k)//k + 1) <= x bounds j.
+    """
+    out = set()
+    for j in range(1, x + 1):
+        if j * ((j + k) // k + 1) > x:
+            break
+        g = gcd(j, j + k)
+        for r in range(1, (x // j - 1) * g // (j + k) + 1):
+            n = ghp_generate(j, k, r)
+            if n is not None:
+                out.add(n)
+    return out
+
+
 @pytest.mark.parametrize(
     "kind,shift,expected",
     [
@@ -263,6 +284,7 @@ def test_generated_witnesses_classify_parametric():
         (Kind.PHI, 2, 376),
         (Kind.PHI, 4, 217),
         (Kind.PHI, 6, 1134),
+        (Kind.PHI, 12, 672),
     ],
 )
 def test_parametric_hits_are_the_generated_witnesses(kind, shift, expected):
@@ -276,6 +298,11 @@ def test_parametric_hits_are_the_generated_witnesses(kind, shift, expected):
         generated |= {w.n for w in generate(fam, lmax) if w.n <= x}
     assert hits == generated
     assert len(hits) == expected
+    if kind is Kind.PHI and shift in GHP_COUNTS:
+        # every equal-radical solution is a hit that classify calls parametric
+        ghp = _ghp_solutions(shift, x)
+        assert ghp <= hits
+        assert len(ghp) == GHP_COUNTS[shift]
 
 
 def test_classification_is_scale_invariant():
