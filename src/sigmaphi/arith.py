@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import enum
 import threading
-from itertools import count
+from itertools import count, product
 from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,10 +28,13 @@ SCALAR_LIMIT = 1 << 63
 TABLE_LIMIT = 1 << 48
 U64_MAX = (1 << 64) - 1
 
-# Entries per sieve segment, and per chunk of a segment's cofactor pass.
+# Entries per sieve segment, per chunk of a segment's cofactor pass, and
+# (about) per chunk of its hit tier; and the least prime of the hit tier.
 # Tuning only: results must not depend on them.
 DEFAULT_SEGMENT = 1 << 20
 _TAIL_CHUNK = 1 << 16
+_HIT_CHUNK = 1 << 14
+_HIT_TIER = 1 << 8
 
 
 def _simple_primes(limit: int) -> np.ndarray:
@@ -81,12 +85,13 @@ def _base_primes(limit: int) -> np.ndarray:
 # tables and over units of 2**20 / a values of n (not blocks, which unit
 # shifts make shorter): a two-table unit search over 10**10 n with arguments
 # up to 2 * 10**10, 2 x ceil(10**10 / 2**20) units x pi(isqrt(2 * 10**10))
-# primes, ~2.5 * 10**8.  Unit-step tables loop only over their primes below
-# 2**10 and those whose square divides a term, and apply the rest on the
-# kernel's vectorised path, so for them the count overstates the work: one
-# 2**20-entry phi table took 0.042 s near 10**8, 0.051 s near 10**10,
-# 0.077 s near 10**12 and 0.168 s near 10**14 on that Xeon (medians of 5;
-# 2-3x drift by day).  Stepped tables loop over every base prime that hits.
+# primes, ~2.5 * 10**8.  Unit-step tables loop only over their primes from
+# 11 below 2**8, copy 2, 3, 5 and 7 from the kernel's wheel and apply every
+# larger prime by its hits, so for them the count overstates the work: one
+# 2**20-entry phi table took 0.030 s near 10**8, 0.038 s near 10**10,
+# 0.052 s near 10**12 and 0.084 s near 10**14 on that Xeon (medians of 5;
+# 2-3x drift by day).  Stepped tables loop over every base prime that hits
+# but the wheel's.
 _MEMORY_BUDGET = 1 << 30
 _SIEVE_LIMIT = 10**10
 _WORK_LIMIT = 2 * -(-_SIEVE_LIMIT // DEFAULT_SEGMENT) * _simple_primes(isqrt(2 * _SIEVE_LIMIT)).size
@@ -265,6 +270,7 @@ class Kind(enum.Enum):
 
     def local(self, pe: np.ndarray, p: int | None = None) -> np.ndarray:
         """The sieve's rule: f at the uint64 array pe of powers of the prime p,
+        or of the primes in the uint64 array p shaped like pe (elementwise),
         or of 1 and primes if p is None, so local(p) == local(p, p) at every
         prime p as _sieve_segment requires.  Scalars go through _value instead.
         """
@@ -322,51 +328,230 @@ def _unit_span(halo: int) -> int:
     return max(1, 2 * _segment(1) - halo)
 
 
+def _runs(starts: np.ndarray, strides: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[i] + k*strides[i] for k < counts[i] (each >= 1), run after run, as one array.
+
+    A cumulative sum of the strides, each run's head jumping from the last
+    hit of the run before it.
+    """
+    index = np.repeat(strides, counts)
+    if index.size:
+        ends = starts + (counts - 1) * strides
+        index[np.cumsum(counts[:-1])] = starts[1:] - ends[:-1]
+        index[0] = starts[0]
+        np.cumsum(index, out=index)
+    return index
+
+
+# The kernel's wheel: primes p with their top levels, so that one pattern of
+# period 2**3 * 3**2 * 5**2 * 7**2 = 88200 holds every p**v with v < top,
+# and the loop meets a wheel prime only at the terms p**top divides.
+_WHEEL = ((2, 3), (3, 2), (5, 2), (7, 2))
+_WHEEL_PERIOD = prod(p**top for p, top in _WHEEL)
+
+
+def _wheel_powers() -> np.ndarray:
+    """The wheel's pattern: at each residue r mod _WHEEL_PERIOD, the product of
+    p**v_p(r) over the wheel primes p with p**top not dividing r (at most
+    4 * 3 * 5 * 7 = 420, so uint16).  Built by multiplying in each prime's
+    p**top digits, the pattern viewed as rows of p**top entries, so that no
+    temporary is as long as the period.
+    """
+    powers = np.ones(_WHEEL_PERIOD, dtype=np.uint16)
+    for p, top in _WHEEL:
+        # p**v_p(r) = gcd(r, p**(top - 1)) for 0 < r < p**top
+        digits = [1] + [gcd(r, p ** (top - 1)) for r in range(1, p**top)]
+        rows = powers.reshape(-1, p**top)  # a view, column r holding the residues r mod p**top
+        rows *= np.array(digits, dtype=np.uint16)
+    powers.flags.writeable = False  # unit-step walks share it
+    return powers
+
+
+# Each row of _WHEEL_ROWS is one set of the wheel's p**v with v < top, 24 in
+# all, beside its primes; the product of the row indexes it in a rule's values.
+_WHEEL_POWERS = _wheel_powers()
+_WHEEL_ROWS = np.array(
+    list(product(*([p**v for v in range(top)] for p, top in _WHEEL))), dtype=np.uint64
+)
+_WHEEL_ROW_PRIMES = np.broadcast_to(
+    np.array([p for p, _ in _WHEEL], dtype=np.uint64), _WHEEL_ROWS.shape
+)
+_WHEEL_PRODUCTS = np.multiply.reduce(_WHEEL_ROWS, axis=1).astype(np.intp)
+
+
+class _Wheel(NamedTuple):
+    """The wheel primes' part of one walk lo, lo + step, ...: at its term j,
+    read at j mod powers.size, powers holds the product of the p**v with
+    v < top exactly dividing the term, and values that of local(p**v, p)."""
+
+    lo: int
+    powers: np.ndarray
+    values: np.ndarray
+
+
+def _wheel(lo: int, step: int, size: int, local) -> _Wheel:
+    """The _Wheel of the walk of size terms lo, lo + step, ... under the rule local.
+
+    Built once per walk, so that each segment only copies it.  A unit-step
+    walk of a period or more reads the pattern itself, anchored at a multiple
+    of the period; any other reads one period along its progression,
+    _WHEEL_PERIOD / gcd(step, _WHEEL_PERIOD) terms, or the whole walk if it
+    is shorter.
+    """
+    period = _WHEEL_PERIOD // gcd(step, _WHEEL_PERIOD)
+    if step == 1 and size >= period:
+        lo, powers = lo - lo % period, _WHEEL_POWERS
+    else:
+        index = lo % _WHEEL_PERIOD + step % _WHEEL_PERIOD * np.arange(min(size, period))
+        powers = _WHEEL_POWERS[index % _WHEEL_PERIOD]
+    # local at the powers past 1 only (local(1, p) need not be 1), in one call
+    at_rows = np.where(_WHEEL_ROWS > 1, local(_WHEEL_ROWS, _WHEEL_ROW_PRIMES), True)
+    at_rows = np.multiply.reduce(at_rows, axis=1, dtype=at_rows.dtype)
+    # uint16 for sigma and phi (at most 7 * 4 * 6 * 8 = 1344), bool for the smooth rules
+    lookup = np.zeros(_WHEEL_PRODUCTS.max() + 1, dtype=np.min_scalar_type(at_rows.max()))
+    lookup[_WHEEL_PRODUCTS] = at_rows
+    return _Wheel(lo, powers, np.take(lookup, powers))
+
+
+def _tile(dst: np.ndarray, pattern: np.ndarray, first: int) -> None:
+    """dst[k] = pattern[(first + k) % pattern.size] for every k."""
+    head = min(dst.size, pattern.size - first)
+    dst[:head] = pattern[first : first + head]
+    for k in range(head, dst.size, pattern.size):
+        dst[k : k + pattern.size] = pattern[: dst.size - k]
+
+
+def _deep_terms(lo: int, step: int, size: int, p: int, e: int):
+    """(first, m, sub) for the terms j of a segment that p**e divides, which are
+    j = first (mod m); sub[i] is the power of p exactly dividing term
+    first + i*m.  None if p**e divides no term.  The terms divisible by p**f,
+    f > e, are a sub-progression of them, since m divides their modulus.
+    """
+    hi = lo + step * (size - 1)
+    levels = []  # (j_f, m_f) for f >= e
+    pe = p**e
+    while pe <= hi:
+        found = ((-lo) % pe, pe) if step == 1 else _progression_hits(lo, step, pe)
+        if found is None or found[0] >= size:
+            break
+        levels.append(found)
+        pe *= p
+    if not levels:
+        return None
+    first, m = levels[0]
+    sub = np.full(len(range(first, size, m)), p**e, dtype=np.uint64)
+    for first_f, m_f in levels[1:]:
+        sub[(first_f - first) // m :: m_f // m] *= p
+    return first, m, sub
+
+
+def _sieve_hits(lo: int, primes: np.ndarray, starts: np.ndarray, local, factored, out) -> None:
+    """The kernel's hit tier: every hit of the unit-step primes at their starts.
+
+    Each hit multiplies the p**v exactly dividing its term into factored, and
+    local(p) into out, or local(p**v, p) at the deep hits, where p*p divides
+    the term.  Those are found by position, level by level: the terms
+    divisible by p**e are j = (-lo) mod p**e + k*p**e, hit (j - start) / p of
+    p's run.  Runs of hits go in at once with np.multiply.at, which stays
+    exact where two primes hit one term, in chunks of whole runs of about
+    _HIT_CHUNK hits, so that the chunk's scratch stays small.
+    """
+    size = out.size
+    hi = lo + size - 1
+    counts = (size - 1 - starts) // primes + 1
+    ends = np.cumsum(counts)
+    heads = ends - counts
+    # the hit numbers of the deep hits, ascending, then those of each level past p**2
+    ps, pe, at, st = primes, primes * primes, heads, starts
+    levels = []
+    while ps.size:
+        first = (-lo) % pe
+        keep = first < size
+        ps, pe, at, st, first = ps[keep], pe[keep], at[keep], st[keep], first[keep]
+        n = (size - 1 - first) // pe + 1
+        levels.append((_runs(at + (first - st) // ps, pe // ps, n), np.repeat(ps, n)))
+        keep = pe <= hi // ps  # p**(e + 1) <= hi, so it stays in int64
+        ps, pe, at, st = ps[keep], pe[keep] * ps[keep], at[keep], st[keep]
+    deep, deep_primes = levels[0]
+    deep_powers = deep_primes * deep_primes
+    for index, p in levels[1:]:
+        deep_powers[np.searchsorted(deep, index)] *= p
+    if deep.size:
+        deep_values = local(deep_powers.astype(np.uint64), deep_primes.astype(np.uint64))
+    at_primes = local(primes.astype(np.uint64))
+    cast = primes.astype(factored.dtype)
+    cuts = np.searchsorted(ends, np.arange(_HIT_CHUNK, ends[-1], _HIT_CHUNK), side="right")
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), primes.size]):
+        if a == b:
+            continue
+        base = int(heads[a])
+        if ends[b - 1] - base == b - a:
+            # one hit each, as every prime past the segment has: views, each entry one hit's
+            index, powers, values = starts[a:b], cast[a:b], at_primes[a:b]
+        else:
+            index = _runs(starts[a:b], primes[a:b], counts[a:b])
+            powers = np.repeat(cast[a:b], counts[a:b])
+            values = np.repeat(at_primes[a:b], counts[a:b])
+        d0, d1 = np.searchsorted(deep, (base, base + index.size))
+        if d0 < d1:
+            powers[deep[d0:d1] - base] = deep_powers[d0:d1]
+            values[deep[d0:d1] - base] = deep_values[d0:d1]
+        np.multiply.at(factored, index, powers)
+        np.multiply.at(out, index, values)
+
+
 def _sieve_segment(
-    lo: int, primes: np.ndarray, local, out: np.ndarray, step: int = 1
+    lo: int, primes: np.ndarray, local, wheel: _Wheel, out: np.ndarray, step: int = 1
 ) -> None:
     """Write g(lo + step*j) for j in [0, out.size) into out, g multiplicative.
 
     local is the caller's rule: local(pe, p) is g at the uint64 array pe of
-    powers of the prime p, and local(q) is g at the uint64 array q of 1s and
-    primes, so that local(p) == local(p, p) at every prime p.
+    powers of the prime p, or of the primes in the uint64 array p shaped like
+    pe, and local(q) is g at the uint64 array q of 1s and primes, so that
+    local(p) == local(p, p) at every prime p.  wheel is the walk's _Wheel
+    under the same rule, and primes the ascending base primes from 2, of
+    which the kernel takes those up to sqrt(hi).  They go in by size, in
+    three tiers, each multiplying p**v into factored (the product of the
+    prime powers found so far) and g(p**v) into out:
 
-    In a unit-step segment of size entries, the primes p >= size >> 8 whose
-    square divides no term hit about 256 terms at most and contribute exactly
-    p and g(p) to each: all their hits are applied at once, with
-    np.multiply.at, which stays exact when two of them divide one term.
-    Every other prime costs one Python iteration: a strided multiply by p of
-    the product of the p**e found so far, one by g(p) unless g(p) == 1, and,
-    if p**2 divides a term, one local(p**e, p) call on just those terms.  The
-    terms divisible by p**e are those with j = j_e (mod m_e), a
-    sub-progression of the terms divisible by p, since m_1 divides m_e.  The
-    cofactor q left after every p <= sqrt(hi) is 1 or a single prime and
-    contributes local(q).
+    - Wheel: 2, 3, 5 and 7 come from copying the wheel into factored and
+      out.  The pattern leaves 1 at the terms p**top divides, which alone
+      cost a strided multiply by the exact p**v and by local(p**v, p).
+    - Loop: each other prime below _HIT_TIER, and at step > 1 every other
+      prime, costs one Python iteration: a strided multiply by p, one by
+      g(p) unless g(p) == 1, and, if p**2 divides a term, one
+      local(p**e, p) call on just those terms.
+    - Hits: at step 1 the primes from _HIT_TIER up go in by their hits,
+      all at once (_sieve_hits).
+
+    The cofactor q = term / factored left after them is 1 or a single prime
+    and contributes local(q).
     """
     size = out.size
     hi = lo + step * (size - 1)
-    primes = primes[: np.searchsorted(primes, isqrt(hi), side="right")]
+    # the product of the p**e found so far divides its term, so below 2**32 it fits in 4 bytes
+    factored = np.empty(size, dtype=np.uint32 if hi < 1 << 32 else np.uint64)
+    first = (lo - wheel.lo) // step % wheel.powers.size
+    _tile(factored, wheel.powers, first)
+    _tile(out, wheel.values, first)
+    for p, top in _WHEEL:
+        deep = _deep_terms(lo, step, size, p, top)
+        if deep is not None:
+            j, m, sub = deep
+            # one dtype: the mixed in-place multiply took twice as long
+            factored[j::m] *= sub.astype(factored.dtype)
+            out[j::m] *= local(sub, p)
+    # the base primes from 2 on: the wheel's are the first
+    primes = primes[len(_WHEEL) : np.searchsorted(primes, isqrt(hi), side="right")]
     starts = (-lo) % primes
     # p divides no term unless it divides some integer in [lo, hi]
     hit = starts <= hi - lo
     primes, starts = primes[hit], starts[hit]
-    out[:] = 1
-    # the product of the p**e found so far divides its term, so below 2**32 it fits in 4 bytes
-    factored = np.ones(size, dtype=np.uint32 if hi < 1 << 32 else np.uint64)
     if step == 1:
-        bulk = (primes >= size >> 8) & ((-lo) % (primes * primes) > hi - lo)
-        large, large_starts = primes[bulk], starts[bulk]
-        primes, starts = primes[~bulk], starts[~bulk]
-        counts = (size - 1 - large_starts) // large + 1
-        strides = np.repeat(large, counts)
-        # hit k of a prime is its start plus k strides; k counts up from each run's head
-        index = np.arange(strides.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        index *= strides
-        index += np.repeat(large_starts, counts)
-        np.multiply.at(factored, index, strides.astype(factored.dtype))
-        del strides
-        np.multiply.at(out, index, np.repeat(local(large.astype(np.uint64)), counts))
-        del index
+        tier = np.searchsorted(primes, _HIT_TIER)
+        if tier < primes.size:
+            _sieve_hits(lo, primes[tier:], starts[tier:], local, factored, out)
+        primes, starts = primes[:tier], starts[:tier]
     at_primes = local(primes.astype(np.uint64)).tolist()
     for p, start, at_p in zip(primes.tolist(), starts.tolist(), at_primes):
         if step == 1:
@@ -377,37 +562,31 @@ def _sieve_segment(
                 continue
             start, stride = found
         factored[start::stride] *= p
-        levels = []  # (j_e, m_e) for e >= 2
-        pe = p * p
-        while pe <= hi:
-            found = ((-lo) % pe, pe) if step == 1 else _progression_hits(lo, step, pe)
-            if found is None or found[0] >= size:
-                break
-            factored[found[0] :: found[1]] *= p
-            levels.append(found)
-            pe *= p
-        if not levels:
+        deep = _deep_terms(lo, step, size, p, 2)
+        if deep is None:
             if at_p != 1:
                 out[start::stride] *= at_p
             continue
-        first, m = levels[0]
-        # sub[i] is the p**e exactly dividing the term j = first + i*m, then g of it
-        sub = np.full(len(range(first, size, m)), p * p, dtype=np.uint64)
-        for first_e, m_e in levels[1:]:
-            sub[(first_e - first) // m :: m_e // m] *= p
+        j, m, sub = deep
+        factored[j::m] *= sub // p
         sub = local(sub, p)
         if at_p == 1:
-            out[first::m] *= sub
+            out[j::m] *= sub
         else:
-            # the level terms take g(p**e) in place of g(p)
-            saved = out[first::m] * sub
+            # the deep terms take g(p**e) in place of g(p)
+            saved = out[j::m] * sub
             out[start::stride] *= at_p
-            out[first::m] = saved
-    # in chunks, so that the tail holds no second full-size uint64 array
+            out[j::m] = saved
+    # The cofactor pass divides in float64, in chunks so that it holds no
+    # second full-size array.  That is exact while hi < 2**53 (tables stop at
+    # 2**48, the smooth counters at 10**10): each term, its divisor factored
+    # and their integer quotient are then exact doubles, and IEEE division
+    # rounds an exact quotient to itself.
     for i in range(0, size, _TAIL_CHUNK):
         j = min(i + _TAIL_CHUNK, size)
-        terms = np.arange(lo + i * step, lo + j * step, step, dtype=np.uint64)
-        out[i:j] *= local(terms // factored[i:j])
+        terms = np.arange(lo + i * step, lo + j * step, step, dtype=np.float64)
+        terms /= factored[i:j]
+        out[i:j] *= local(terms.astype(np.int64).view(np.uint64))
 
 
 def build_table(lo: int, hi: int, kind: Kind, step: int = 1) -> np.ndarray:
@@ -416,11 +595,15 @@ def build_table(lo: int, hi: int, kind: Kind, step: int = 1) -> np.ndarray:
     f is sigma or phi.  Only the terms of the progression are sieved, so a
     table of every a-th integer costs about 1/a of the dense one.  Memory is
     O((hi - lo) / step) for the output plus O(sqrt(hi)) for base primes,
-    which _base_primes sieves once for every table after it; construction
-    walks the terms in segments of _segment(step) entries, DEFAULT_SEGMENT / 4
-    at step 1 and DEFAULT_SEGMENT otherwise, so the kernel's scratch stays a
-    fraction of the output.  An output over _MEMORY_BUDGET bytes is refused
-    with CapacityError.
+    which _base_primes sieves once for every table after it.  The table's
+    wheel (_wheel, one period of the small primes' pattern along the
+    progression) is built once per call; then the kernel walks the terms in
+    segments of _segment(step) entries, DEFAULT_SEGMENT / 4 at step 1 and
+    DEFAULT_SEGMENT otherwise, so its scratch stays a fraction of the
+    output.  Each segment copies the wheel, loops over the primes from 11
+    (at step 1, up to _HIT_TIER), applies the larger ones of a unit-step
+    table by their hits, and divides out the cofactor in float64.  An output
+    over _MEMORY_BUDGET bytes is refused with CapacityError.
     """
     if lo < 1 or hi < lo:
         raise UsageError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
@@ -433,9 +616,10 @@ def build_table(lo: int, hi: int, kind: Kind, step: int = 1) -> np.ndarray:
     _check_bytes(8 * ((hi - lo) // step + 1))
     primes = _base_primes(isqrt(hi))
     out = np.empty((hi - lo) // step + 1, dtype=np.uint64)
+    wheel = _wheel(lo, step, out.size, kind.local)
     segment = _segment(step)
     for i in range(0, out.size, segment):
-        _sieve_segment(lo + i * step, primes, kind.local, out[i : i + segment], step)
+        _sieve_segment(lo + i * step, primes, kind.local, wheel, out[i : i + segment], step)
     return out
 
 

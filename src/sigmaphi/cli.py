@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -117,6 +118,7 @@ def _cmd_bounds(args):
     return ["y", "z", "u", "bound_main"], [[params.y, params.z, params.u, bound_main(args.x)]]
 
 
+@functools.cache  # one parser per process: building it takes ~2 ms, parsing leaves it as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sigmaphi")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -39,15 +39,17 @@ def _check_xy(x: int, y) -> None:
 def _segments(x: int, local, bound: int | None = None):
     """Yield (lo, mask) with mask[i] = (g(lo + i) != 0) for 1 <= lo + i <= x, one kernel
     segment at a time, g multiplicative with g(p**e) = local(p**e, p).  The next segment
-    overwrites mask.  The kernel sieves the primes <= min(bound, isqrt(x)) and hands it
-    the rest of each n as one cofactor, which bound is for the caller to make exact.
+    overwrites mask.  The kernel sieves the wheel primes 2, 3, 5, 7 and the primes
+    <= min(bound, isqrt(x)), and hands it the rest of each n as one cofactor, which bound
+    is for the caller to make exact.  The walk's wheel is built once, for every segment.
     """
     top = math.isqrt(x) if bound is None else min(bound, math.isqrt(x))
     primes = arith._base_primes(top)
+    wheel = arith._wheel(1, 1, x, local)
     buffer = np.empty(arith._segment(1), dtype=bool)
     for lo in range(1, x + 1, buffer.size):
         out = buffer[: x - lo + 1]
-        arith._sieve_segment(lo, primes, local, out)
+        arith._sieve_segment(lo, primes, local, wheel, out)
         yield lo, out
 
 
@@ -64,9 +66,9 @@ def _psi_rule(y):
     """The sieve rule of psi: p**e is y-smooth iff p <= y.
 
     It needs the primes <= min(y, isqrt(x)) only (bound int(y)).  If y <= isqrt(x), the
-    cofactor left after the primes <= y is a product of primes > y, so "cofactor <= y" holds
-    iff it is 1, that is iff n is y-smooth.  Otherwise it is 1 or one prime, as with every
-    base prime.
+    cofactor left after the primes <= y and the kernel's wheel primes (2, 3, 5, 7, each
+    tested by the rule) is a product of primes > y, so "cofactor <= y" holds iff it is 1,
+    that is iff n is y-smooth.  Otherwise it is 1 or one prime, as with every base prime.
     """
     return lambda pe, p=None: (pe if p is None else p) <= y
 

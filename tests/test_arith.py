@@ -195,6 +195,13 @@ def test_build_table_at_capacity():
             fac = factorize(n)  # scalar sigma and phi from one factorization
             assert s == prod((p ** (e + 1) - 1) // (p - 1) for p, e in fac), n
             assert t == prod(p ** (e - 1) * (p - 1) for p, e in fac), n
+    # the largest prime below 2**48 is its own cofactor: the kernel's float64
+    # division returns it whole, at the top of the table range
+    big = (1 << 48) - 59
+    assert is_prime(big)
+    lo = (1 << 48) - 2001
+    assert build_table(lo, (1 << 48) - 1, Kind.SIGMA)[big - lo] == big + 1
+    assert build_table(lo, (1 << 48) - 1, Kind.PHI)[big - lo] == big - 1
 
 
 def test_local_rule_contract():
@@ -205,6 +212,16 @@ def test_local_rule_contract():
         assert at_primes.dtype == np.uint64
         pairs = [kind.local(np.array([p], dtype=np.uint64), p) for p in ps]
         assert at_primes.tolist() == [int(v[0]) for v in pairs] == [kind.evaluate(p) for p in ps]
+    # and f(p**e) at powers of several primes off one call with p an array shaped like
+    # pe, as the wheel and the hit tier's deep hits do
+    powers = [(2, 1), (2, 40), (3, 2), (257, 3), (65521, 2), ((1 << 24) - 3, 2), (7, 22)]
+    pe = np.array([[p**e for p, e in powers]] * 2, dtype=np.uint64)
+    p = np.array([[p for p, _ in powers]] * 2, dtype=np.uint64)
+    for kind in Kind:
+        values = kind.local(pe, p)
+        assert values.dtype == np.uint64 and values.shape == pe.shape
+        expected = [arith._value(kind, p**e, [(p, e)]) for p, e in powers]
+        assert values.tolist() == [expected, expected]
 
 
 def _scalar_values(lo: int, hi: int) -> dict:
@@ -224,17 +241,54 @@ def test_table_matches_scalars_across_2_32(monkeypatch):
             assert build_table(lo, hi, kind).tolist() == expected[kind], (seg, chunk, kind)
 
 
-# A unit-step segment of size entries takes the primes >= size >> 8 whose square divides
-# no term on its vectorised path.  DEFAULT_SEGMENT = 1 and 7 give 1-entry segments, where
-# that threshold is 0; 2**12 and 2**20 leave small primes on the loop and send larger ones
-# down the path; a 70000-entry table from 1 has no base prime at or past its threshold.
+# A unit-step segment copies the wheel (2, 3, 5, 7, period 88200) from lo mod 88200,
+# loops over the primes from 11 below 2**8 and applies the rest by their hits.
+# DEFAULT_SEGMENT = 1 and 7 give 1-entry segments, which copy one wheel entry each and send
+# every base prime past 2**8 to the hit tier on its own; 2**12 and 2**20 give 2**10- and
+# 2**18-entry segments, which copy several periods and meet many primes in each tier.
 SEGMENTS = (1, 7, 1 << 12, 1 << 20)
+WHEEL = 88200
+
+
+def test_wheel_pattern_and_values():
+    # at each residue r mod 88200, the product of p**v_p(r) over the wheel primes p
+    # whose top power does not divide r
+    tops = {2: 3, 3: 2, 5: 2, 7: 2}
+    r = np.arange(WHEEL)
+    expected = np.ones(WHEEL, dtype=np.int64)
+    for p, top in tops.items():
+        part = np.gcd(r, p**top)  # p**min(v_p(r), top), and p**top at r = 0
+        expected *= np.where(part == p**top, 1, part)
+    assert arith._WHEEL_PERIOD == WHEEL
+    assert arith._WHEEL_POWERS.dtype == np.uint16
+    assert np.array_equal(arith._WHEEL_POWERS, expected)
+    # the rule's values along a progression, and a rule with local(1, p) != 1 (psi's at
+    # y = 3), whose values stay bool
+    psi3 = lambda pe, p=None: (pe if p is None else p) <= 3  # noqa: E731
+    for lo, step, size, rule in ((5, 6, 1000, Kind.SIGMA.local), (10**9 + 1, 1, 500, psi3),
+                                 (7, 1, 3 * WHEEL, psi3), (88199, 35, 5000, Kind.PHI.local)):
+        wheel = arith._wheel(lo, step, size, rule)
+        assert (wheel.values.dtype == bool) == (rule is psi3) and wheel.values.itemsize <= 2
+        for j in range(0, size, 97):
+            n = lo + step * j
+            powers = [(p, e) for p, e in factorize(n) if p <= 7 and e < tops[p]]
+            at = wheel.powers[(n - wheel.lo) // step % wheel.powers.size]
+            assert at == prod(p**e for p, e in powers), (lo, step, n)
+            value = wheel.values[(n - wheel.lo) // step % wheel.values.size]
+            arrays = [np.array([[p**e], [p]], dtype=np.uint64) for p, e in powers]
+            want = prod(int(rule(pe, p)[0]) for pe, p in arrays)
+            assert value == want, (lo, step, n)
 
 
 def test_unit_tables_match_scalars_at_any_threshold(monkeypatch):
     rng = random.Random(20100602)
     windows = [((1 << 32) - 700, (1 << 32) + 700), (1, 70_000)]
     windows += [(lo, lo + 600) for lo in (rng.randrange(1, 1 << 47) for _ in range(4))]
+    # windows from residues 0, 1 and L - 1 of the wheel, and one across a period boundary
+    for base in (WHEEL, 10**9 // WHEEL * WHEEL, (1 << 47) // WHEEL * WHEEL):
+        windows += [(base + r, base + r + 300) for r in (0, 1, WHEEL - 1, WHEEL - 150)]
+    # 2**40 * 127 ends the wheel's levels of 2 far past any segment
+    windows.append(((1 << 47) - (1 << 40) - 300, (1 << 47) - (1 << 40) + 300))
     for lo, hi in windows:
         expected = _scalar_values(lo, hi)
         for seg in SEGMENTS:
@@ -247,20 +301,35 @@ def test_unit_tables_match_scalars_at_any_threshold(monkeypatch):
             monkeypatch.undo()
 
 
-def test_vectorised_primes_share_a_term():
-    # n = p*q*97 near 10**14 with p, q > 10**6: in a 4096-entry window around it both
-    # primes are past the threshold (16) and their squares divide no term, so the path
-    # applies both to one term
-    p, q = 1_000_003, 1_000_033
-    n = p * q * 97
-    lo, hi = n - 2048, n + 2047
-    assert is_prime(p) and is_prime(q)
-    assert all((-lo) % (r * r) > hi - lo for r in (p, q))
-    expected = _scalar_values(lo, hi)
-    for kind in Kind:
-        values = build_table(lo, hi, kind).tolist()
-        assert values == expected[kind], kind
-        assert values[n - lo] == kind.evaluate(p) * kind.evaluate(q) * kind.evaluate(97)
+# n = prod(p**e) around which a window tests the hit tier
+SHARED_TERMS = [
+    # p*q*97 near 10**14 with p, q > 10**6: both primes hit n, once each
+    ((1_000_003, 1), (1_000_033, 1), (97, 1)),
+    # 257**3 divides n: one deep hit two levels down, near 10**12
+    ((257, 3), (58_913, 1)),
+    # the squares of two tier primes divide n: a deep hit of each on one term
+    ((257, 2), (263, 2), (1009, 1)),
+    # a square far past the segment, near 1.4 * 10**14
+    ((1_000_003, 2), (139, 1)),
+]
+
+
+def test_vectorised_primes_share_a_term(monkeypatch):
+    # every prime >= 2**8 goes in by its hits, the p**v exactly dividing each term with
+    # it: in a 4096-entry window around n they all hit n, and in 2**10-entry segments too
+    for factors in SHARED_TERMS:
+        n = prod(p**e for p, e in factors)
+        lo, hi = n - 2048, n + 2047
+        assert all(is_prime(p) for p, _ in factors)
+        expected = _scalar_values(lo, hi)
+        for seg in (DEFAULT_SEGMENT, 1 << 12):
+            monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
+            for kind in Kind:
+                values = build_table(lo, hi, kind).tolist()
+                assert values == expected[kind], (n, kind, seg)
+                at_n = prod(arith._value(kind, p**e, [(p, e)]) for p, e in factors)
+                assert values[n - lo] == at_n, (n, kind, seg)
+            monkeypatch.undo()
 
 
 def test_stepped_tables_match_scalars_at_random_offsets():
@@ -308,7 +377,8 @@ def test_block_scratch_peak():
         assert peak <= 7.5 * 2**20, name
 
 
-STEPS = [*range(1, 41), 64, 81, 210, 1024, 2310]
+# 49, 88200 and 176400 share factors with the wheel's period 88200
+STEPS = [*range(1, 41), 49, 64, 81, 210, 1024, 2310, 88200, 176400]
 
 
 @pytest.mark.parametrize("step", STEPS)

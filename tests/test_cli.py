@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from sigmaphi import arith, bound_bfps, parametric
-from sigmaphi.cli import run
+from sigmaphi.cli import _build_parser, run
 
 EQ_PHI1 = ["--fn", "phi", "--a1", "1", "--b1", "0", "--a2", "1", "--b2", "1"]
 EQ_SIGMA22 = ["--fn", "sigma", "--a1", "1", "--b1", "0", "--a2", "1", "--b2", "22"]
@@ -371,6 +371,20 @@ def test_help_exits_0(capsys):
     code, out, _ = invoke(["--help"], capsys)
     assert code == 0
     assert out.startswith("usage: sigmaphi")
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # one parser serves every run in a process; a usage error between two equal
+    # searches leaves it as it was, and --help still exits 0
+    search = ["search", *EQ_PHI1, "--max", "500", "--classify"]
+    first = invoke(search, capsys)
+    code, out, err = invoke(["search", *EQ_PHI1, "--max", "many"], capsys)
+    assert code == 1 and out == "" and "--max" in err
+    again = invoke(search, capsys)
+    assert first[0] == again[0] == 0
+    assert first[1] == again[1] and first[1].count("\n") > 1
+    assert invoke(["--help"], capsys)[0] == 0
+    assert _build_parser() is _build_parser()
 
 
 def test_classify_sigma_past_64_bits_exit_2(capsys):

@@ -82,9 +82,10 @@ def test_counters_span_segments():
 
 
 def test_counters_at_small_segments(monkeypatch):
-    # DEFAULT_SEGMENT = 7 gives 1-entry segments, whose threshold is 0: every prime whose
-    # square divides no term takes the kernel's vectorised path, here on bool outputs;
-    # 2**12 gives 1024-entry segments, which split the primes between the path and the loop
+    # DEFAULT_SEGMENT = 7 gives 1-entry segments, each copying one entry of the kernel's
+    # wheel, here on bool outputs; 2**12 gives 1024-entry segments, which copy it across
+    # segment edges.  Neither x reaches the hit tier's primes (from 2**8); the 2**20 + 2000
+    # of test_counters_span_segments does
     for seg, x in ((7, 300), (1 << 12, 3000)):
         monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
         for y in (1, 2, 10, 53, x + 2):
