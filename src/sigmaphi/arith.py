@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import threading
+from functools import cache
 from itertools import count, product
 from math import gcd, isqrt, prod
 from typing import NamedTuple
@@ -350,12 +351,14 @@ _WHEEL = ((2, 3), (3, 2), (5, 2), (7, 2))
 _WHEEL_PERIOD = prod(p**top for p, top in _WHEEL)
 
 
+@cache
 def _wheel_powers() -> np.ndarray:
     """The wheel's pattern: at each residue r mod _WHEEL_PERIOD, the product of
     p**v_p(r) over the wheel primes p with p**top not dividing r (at most
     4 * 3 * 5 * 7 = 420, so uint16).  Built by multiplying in each prime's
     p**top digits, the pattern viewed as rows of p**top entries, so that no
-    temporary is as long as the period.
+    temporary is as long as the period.  Built on first use, so that a
+    process that never sieves does not hold it.
     """
     powers = np.ones(_WHEEL_PERIOD, dtype=np.uint16)
     for p, top in _WHEEL:
@@ -369,7 +372,6 @@ def _wheel_powers() -> np.ndarray:
 
 # Each row of _WHEEL_ROWS is one set of the wheel's p**v with v < top, 24 in
 # all, beside its primes; the product of the row indexes it in a rule's values.
-_WHEEL_POWERS = _wheel_powers()
 _WHEEL_ROWS = np.array(
     list(product(*([p**v for v in range(top)] for p, top in _WHEEL))), dtype=np.uint64
 )
@@ -399,11 +401,12 @@ def _wheel(lo: int, step: int, size: int, local) -> _Wheel:
     is shorter.
     """
     period = _WHEEL_PERIOD // gcd(step, _WHEEL_PERIOD)
+    powers = _wheel_powers()
     if step == 1 and size >= period:
-        lo, powers = lo - lo % period, _WHEEL_POWERS
+        lo -= lo % period
     else:
         index = lo % _WHEEL_PERIOD + step % _WHEEL_PERIOD * np.arange(min(size, period))
-        powers = _WHEEL_POWERS[index % _WHEEL_PERIOD]
+        powers = powers[index % _WHEEL_PERIOD]
     # local at the powers past 1 only (local(1, p) need not be 1), in one call
     at_rows = np.where(_WHEEL_ROWS > 1, local(_WHEEL_ROWS, _WHEEL_ROW_PRIMES), True)
     at_rows = np.multiply.reduce(at_rows, axis=1, dtype=at_rows.dtype)
@@ -485,13 +488,9 @@ def _sieve_hits(lo: int, primes: np.ndarray, starts: np.ndarray, local, factored
         if a == b:
             continue
         base = int(heads[a])
-        if ends[b - 1] - base == b - a:
-            # one hit each, as every prime past the segment has: views, each entry one hit's
-            index, powers, values = starts[a:b], cast[a:b], at_primes[a:b]
-        else:
-            index = _runs(starts[a:b], primes[a:b], counts[a:b])
-            powers = np.repeat(cast[a:b], counts[a:b])
-            values = np.repeat(at_primes[a:b], counts[a:b])
+        index = _runs(starts[a:b], primes[a:b], counts[a:b])
+        powers = np.repeat(cast[a:b], counts[a:b])
+        values = np.repeat(at_primes[a:b], counts[a:b])
         d0, d1 = np.searchsorted(deep, (base, base + index.size))
         if d0 < d1:
             powers[deep[d0:d1] - base] = deep_powers[d0:d1]

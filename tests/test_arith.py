@@ -260,8 +260,8 @@ def test_wheel_pattern_and_values():
         part = np.gcd(r, p**top)  # p**min(v_p(r), top), and p**top at r = 0
         expected *= np.where(part == p**top, 1, part)
     assert arith._WHEEL_PERIOD == WHEEL
-    assert arith._WHEEL_POWERS.dtype == np.uint16
-    assert np.array_equal(arith._WHEEL_POWERS, expected)
+    assert arith._wheel_powers().dtype == np.uint16
+    assert np.array_equal(arith._wheel_powers(), expected)
     # the rule's values along a progression, and a rule with local(1, p) != 1 (psi's at
     # y = 3), whose values stay bool
     psi3 = lambda pe, p=None: (pe if p is None else p) <= 3  # noqa: E731
@@ -332,17 +332,29 @@ def test_vectorised_primes_share_a_term(monkeypatch):
             monkeypatch.undo()
 
 
-def test_stepped_tables_match_scalars_at_random_offsets():
+# Steps that are the wheel's period 88200 and twice it, at the offsets of
+# test_stepped_table_matches_dense: a dense table to compare them against would
+# be millions of entries for 61 terms, so they are checked against scalars.
+PERIOD_STEPS = [(lo, step) for step in (88200, 176400)
+                for lo in (1, step, 2 * step + 1, step * step, 6 * step + 4, 720720 + 3)]
+
+
+def test_stepped_tables_match_scalars_at_random_offsets(monkeypatch):
     rng = random.Random(20100601)
-    for _ in range(6):
-        # steps with small prime factors, so that some primes divide every term or none
-        step = rng.choice((1, 2, 6, 30, 210)) * rng.randrange(1, 40)
-        lo = rng.randrange(1, 1 << 47)
-        hi = lo + 100 * step
+    # steps with small prime factors, so that some primes divide every term or none
+    steps = [rng.choice((1, 2, 6, 30, 210)) * rng.randrange(1, 40) for _ in range(6)]
+    cases = [(rng.randrange(1, 1 << 47), step, 100, [DEFAULT_SEGMENT]) for step in steps]
+    cases += [(lo, step, 60, [7, DEFAULT_SEGMENT]) for lo, step in PERIOD_STEPS]
+    for lo, step, terms, segments in cases:
+        hi = lo + terms * step
         facs = [factorize(n) for n in range(lo, hi + 1, step)]
         for kind in Kind:
             expected = [arith._value(kind, n, f) for n, f in zip(range(lo, hi + 1, step), facs)]
-            assert build_table(lo, hi, kind, step=step).tolist() == expected, (lo, step, kind)
+            for seg in segments:
+                monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
+                stepped = build_table(lo, hi, kind, step=step).tolist()
+                monkeypatch.undo()
+                assert stepped == expected, (lo, step, kind, seg)
 
 
 def test_table_scratch_peak():
@@ -377,8 +389,8 @@ def test_block_scratch_peak():
         assert peak <= 7.5 * 2**20, name
 
 
-# 49, 88200 and 176400 share factors with the wheel's period 88200
-STEPS = [*range(1, 41), 49, 64, 81, 210, 1024, 2310, 88200, 176400]
+# 49 shares factors with the wheel's period 88200 (see also PERIOD_STEPS)
+STEPS = [*range(1, 41), 49, 64, 81, 210, 1024, 2310]
 
 
 @pytest.mark.parametrize("step", STEPS)
