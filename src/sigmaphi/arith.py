@@ -82,17 +82,18 @@ def _base_primes(limit: int) -> np.ndarray:
 # 0.019 s near 10**10 at y = 100, 0.033 s and 0.037 s at y = 10**5) and
 # ~8 min for a one-table sigma search (9537 tables of 2**20 entries, 0.043 s
 # each near 10**8 and 0.052 s near 10**10), in one process on a 2-vCPU Xeon.
-# _WORK_LIMIT caps the base primes any search's kernel loops over, summed over
-# tables and over units of 2**20 / a values of n (not blocks, which unit
-# shifts make shorter): a two-table unit search over 10**10 n with arguments
-# up to 2 * 10**10, 2 x ceil(10**10 / 2**20) units x pi(isqrt(2 * 10**10))
-# primes, ~2.5 * 10**8.  Unit-step tables loop only over their primes from
-# 11 below 2**8, copy 2, 3, 5 and 7 from the kernel's wheel and apply every
-# larger prime by its hits, so for them the count overstates the work: one
+# _WORK_LIMIT caps a search's sieve work, counted as the base primes of its
+# tables, summed over tables and over units of 2**20 / a values of n (not
+# blocks, which unit shifts make shorter): a two-table unit search over
+# 10**10 n with arguments up to 2 * 10**10, 2 x ceil(10**10 / 2**20) units x
+# pi(isqrt(2 * 10**10)) primes, ~2.5 * 10**8.  No table loops over its base
+# primes: at every step the kernel loops only over the primes from 11 below
+# 2**8, copies 2, 3, 5 and 7 from its wheel and applies every larger prime
+# by its hits, all at once, so the count overstates the work: one
 # 2**20-entry phi table took 0.030 s near 10**8, 0.038 s near 10**10,
 # 0.052 s near 10**12 and 0.084 s near 10**14 on that Xeon (medians of 5;
-# 2-3x drift by day).  Stepped tables loop over every base prime that hits
-# but the wheel's.
+# 2-3x drift by day).  The cap stays a count of base primes, which bounds
+# that vectorised work loosely at every step.
 _MEMORY_BUDGET = 1 << 30
 _SIEVE_LIMIT = 10**10
 _WORK_LIMIT = 2 * -(-_SIEVE_LIMIT // DEFAULT_SEGMENT) * _simple_primes(isqrt(2 * _SIEVE_LIMIT)).size
@@ -295,26 +296,13 @@ def radical(n: int) -> int:
     return total
 
 
-def _progression_hits(lo: int, step: int, q: int) -> tuple[int, int] | None:
-    """(j0, m) such that q divides lo + step*j exactly when j = j0 (mod m), or None."""
-    g = gcd(step, q)
-    if lo % g:
-        return None
-    m = q // g
-    return (-lo // g) * pow(step // g, -1, m) % m, m
-
-
-def _segment(step: int) -> int:
-    """Entries per kernel segment of a table of every step-th integer.
-
-    Unit-step tables sieve a quarter of DEFAULT_SEGMENT, which keeps the
-    kernel's per-segment scratch small; their large primes cost no Python
-    iteration, so more segments cost little.  Stepped tables keep
-    DEFAULT_SEGMENT: split the same way, search f(2n+1) = f(3n+1) to 10**6
-    ran 11% slower (3 wins in 20 alternating pairs), while the kernel alone
-    was neutral there (139 vs 141 ms).
+def _segment() -> int:
+    """Entries per kernel segment, at every step: a quarter of DEFAULT_SEGMENT,
+    which keeps the kernel's per-segment scratch small.  Only the primes
+    below _HIT_TIER cost a Python iteration per segment, so more segments
+    cost little.
     """
-    return DEFAULT_SEGMENT if step > 1 else max(1, DEFAULT_SEGMENT >> 2)
+    return max(1, DEFAULT_SEGMENT >> 2)
 
 
 def _unit_span(halo: int) -> int:
@@ -326,7 +314,7 @@ def _unit_span(halo: int) -> int:
     (~15,900 minor page faults per search of f(n) = f(n + 1) to 2 * 10**6
     for both functions, against ~24).
     """
-    return max(1, 2 * _segment(1) - halo)
+    return max(1, 2 * _segment() - halo)
 
 
 def _runs(starts: np.ndarray, strides: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -381,25 +369,69 @@ _WHEEL_ROW_PRIMES = np.broadcast_to(
 _WHEEL_PRODUCTS = np.multiply.reduce(_WHEEL_ROWS, axis=1).astype(np.intp)
 
 
-class _Wheel(NamedTuple):
-    """The wheel primes' part of one walk lo, lo + step, ...: at its term j,
-    read at j mod powers.size, powers holds the product of the p**v with
-    v < top exactly dividing the term, and values that of local(p**v, p)."""
+def _wheel_lookup(local) -> np.ndarray:
+    """local's values on the wheel, indexed by _WHEEL_PRODUCTS: at the product
+    of each row of _WHEEL_ROWS, the product of local(p**v, p) over the row's
+    powers past 1 (local(1, p) need not be 1), from one rule call.  uint16
+    for sigma and phi (at most 7 * 4 * 6 * 8 = 1344), bool for the smooth
+    rules.
+    """
+    at_rows = np.where(_WHEEL_ROWS > 1, local(_WHEEL_ROWS, _WHEEL_ROW_PRIMES), True)
+    at_rows = np.multiply.reduce(at_rows, axis=1, dtype=at_rows.dtype)
+    lookup = np.zeros(_WHEEL_PRODUCTS.max() + 1, dtype=np.min_scalar_type(at_rows.max()))
+    lookup[_WHEEL_PRODUCTS] = at_rows
+    return lookup
+
+
+@cache
+def _kind_lookup(kind: Kind) -> np.ndarray:
+    """_wheel_lookup(kind.local), built once per Kind.  The smooth counters'
+    rules are built per call and close over their tables, so their walks
+    build their own lookups instead.
+    """
+    return _wheel_lookup(kind.local)
+
+
+class _Walk(NamedTuple):
+    """What every segment of one walk lo, lo + step, ... reads, built once.
+
+    At the walk's term j, read at j mod powers.size, powers holds the product
+    of the wheel primes' p**v with v < top exactly dividing the term, and
+    values that of local(p**v, p).  rows[0] holds the base primes from 11
+    that do not divide step, ascending, and rows[1], present at step > 1
+    only, step's inverse mod each.  deep lists (p, top) for the wheel primes
+    and, with top 1, for the base primes from 11 that divide step, each of
+    which divides every term or none.
+    """
 
     lo: int
     powers: np.ndarray
     values: np.ndarray
+    rows: np.ndarray
+    deep: tuple
 
 
-def _wheel(lo: int, step: int, size: int, local) -> _Wheel:
-    """The _Wheel of the walk of size terms lo, lo + step, ... under the rule local.
+def _walk(lo: int, step: int, size: int, lookup: np.ndarray, primes: np.ndarray) -> _Walk:
+    """The _Walk of the size terms lo, lo + step, ... with the ascending base
+    primes primes from 2, under the rule whose _wheel_lookup is lookup.
 
-    Built once per walk, so that each segment only copies it.  A unit-step
-    walk of a period or more reads the pattern itself, anchored at a multiple
-    of the period; any other reads one period along its progression,
-    _WHEEL_PERIOD / gcd(step, _WHEEL_PERIOD) terms, or the whole walk if it
-    is shorter.
+    Of the primes from 11 it keeps those with a multiple in [lo, hi], and
+    finds step's inverse mod each only at step > 1, and only if some are
+    left.  A unit-step walk of a period or more reads the wheel's pattern
+    itself, anchored at a multiple of the period; any other reads one period
+    along its progression, _WHEEL_PERIOD / gcd(step, _WHEEL_PERIOD) terms,
+    or the whole walk if it is shorter.
     """
+    # p divides no term unless it divides some integer in [lo, hi]
+    primes = primes[len(_WHEEL) :]
+    primes = primes.compress((-lo) % primes <= step * (size - 1))
+    rows, deep = primes[None], _WHEEL
+    if step > 1 and primes.size:
+        # step's inverse mod each prime, or 0 where it divides step: one pow per prime and
+        # walk, cheaper on short walks than a vectorised Fermat power's ~50 numpy calls
+        inverses = np.array([pow(step, -1, p) if step % p else 0 for p in primes.tolist()])
+        deep += tuple((p, 1) for p in primes[inverses == 0].tolist())
+        rows = np.stack((primes, inverses)).compress(inverses > 0, axis=1)
     period = _WHEEL_PERIOD // gcd(step, _WHEEL_PERIOD)
     powers = _wheel_powers()
     if step == 1 and size >= period:
@@ -407,13 +439,16 @@ def _wheel(lo: int, step: int, size: int, local) -> _Wheel:
     else:
         index = lo % _WHEEL_PERIOD + step % _WHEEL_PERIOD * np.arange(min(size, period))
         powers = powers[index % _WHEEL_PERIOD]
-    # local at the powers past 1 only (local(1, p) need not be 1), in one call
-    at_rows = np.where(_WHEEL_ROWS > 1, local(_WHEEL_ROWS, _WHEEL_ROW_PRIMES), True)
-    at_rows = np.multiply.reduce(at_rows, axis=1, dtype=at_rows.dtype)
-    # uint16 for sigma and phi (at most 7 * 4 * 6 * 8 = 1344), bool for the smooth rules
-    lookup = np.zeros(_WHEEL_PRODUCTS.max() + 1, dtype=np.min_scalar_type(at_rows.max()))
-    lookup[_WHEEL_PRODUCTS] = at_rows
-    return _Wheel(lo, powers, np.take(lookup, powers))
+    return _Walk(lo, powers, np.take(lookup, powers), rows, deep)
+
+
+def _first_hits(x, rows: np.ndarray) -> np.ndarray:
+    """At each prime p of rows[0], the least j >= 0 with p dividing x + step*j:
+    -x * step⁻¹ mod p, step⁻¹ mod p being rows[1] (a _Walk's rows), or 1 at
+    step 1, where the multiply is skipped.
+    """
+    first = (-x) % rows[0]
+    return first * rows[1] % rows[0] if len(rows) > 1 else first
 
 
 def _tile(dst: np.ndarray, pattern: np.ndarray, first: int) -> None:
@@ -431,13 +466,15 @@ def _deep_terms(lo: int, step: int, size: int, p: int, e: int):
     f > e, are a sub-progression of them, since m divides their modulus.
     """
     hi = lo + step * (size - 1)
-    levels = []  # (j_f, m_f) for f >= e
+    levels = []  # (j_f, m_f) for f >= e: p**f divides term j exactly when j = j_f (mod m_f)
     pe = p**e
-    while pe <= hi:
-        found = ((-lo) % pe, pe) if step == 1 else _progression_hits(lo, step, pe)
-        if found is None or found[0] >= size:
+    # p**f divides some term only if g = gcd(step, p**f) divides lo
+    while pe <= hi and lo % (g := gcd(step, pe)) == 0:
+        m = pe // g
+        first = (-lo // g) * pow(step // g, -1, m) % m
+        if first >= size:
             break
-        levels.append(found)
+        levels.append((first, m))
         pe *= p
     if not levels:
         return None
@@ -448,37 +485,40 @@ def _deep_terms(lo: int, step: int, size: int, p: int, e: int):
     return first, m, sub
 
 
-def _sieve_hits(lo: int, primes: np.ndarray, starts: np.ndarray, local, factored, out) -> None:
-    """The kernel's hit tier: every hit of the unit-step primes at their starts.
+def _sieve_hits(lo: int, step: int, rows, starts, local, factored, out) -> None:
+    """The kernel's hit tier: every hit of the primes rows[0] (a _Walk's rows)
+    at their starts.
 
     Each hit multiplies the p**v exactly dividing its term into factored, and
     local(p) into out, or local(p**v, p) at the deep hits, where p*p divides
-    the term.  Those are found by position, level by level: the terms
-    divisible by p**e are j = (-lo) mod p**e + k*p**e, hit (j - start) / p of
-    p's run.  Runs of hits go in at once with np.multiply.at, which stays
-    exact where two primes hit one term, in chunks of whole runs of about
-    _HIT_CHUNK hits, so that the chunk's scratch stays small.
+    the term.  Hit k of p's run is the term p*(q + k*step), q being its first
+    term over p, so the deep hits are every p-th hit from k = -q * step⁻¹
+    mod p; their exact powers come from dividing those few terms (each below
+    2**48, so int64 holds them).  Runs of hits go in at once with
+    np.multiply.at, which stays exact where two primes hit one term, in
+    chunks of whole runs of about _HIT_CHUNK hits, so that the chunk's
+    scratch stays small.
     """
-    size = out.size
-    hi = lo + size - 1
-    counts = (size - 1 - starts) // primes + 1
+    primes = rows[0]
+    counts = (out.size - 1 - starts) // primes + 1
     ends = np.cumsum(counts)
     heads = ends - counts
-    # the hit numbers of the deep hits, ascending, then those of each level past p**2
-    ps, pe, at, st = primes, primes * primes, heads, starts
-    levels = []
-    while ps.size:
-        first = (-lo) % pe
-        keep = first < size
-        ps, pe, at, st, first = ps[keep], pe[keep], at[keep], st[keep], first[keep]
-        n = (size - 1 - first) // pe + 1
-        levels.append((_runs(at + (first - st) // ps, pe // ps, n), np.repeat(ps, n)))
-        keep = pe <= hi // ps  # p**(e + 1) <= hi, so it stays in int64
-        ps, pe, at, st = ps[keep], pe[keep] * ps[keep], at[keep], st[keep]
-    deep, deep_primes = levels[0]
+    # the indices i of the primes whose square divides some integer in [lo, hi]:
+    # only they can have deep hits
+    i = np.flatnonzero((-lo) % (primes * primes) <= step * (out.size - 1))
+    first = _first_hits((lo + step * starts[i]) // primes[i], rows[:, i])
+    keep = first < counts[i]
+    i, first = i[keep], first[keep]
+    ps = primes[i]
+    n = (counts[i] - 1 - first) // ps + 1
+    # the hit numbers of the deep hits, ascending, and their terms over p*p
+    deep = _runs(heads[i] + first, ps, n)
+    deep_primes = np.repeat(ps, n)
     deep_powers = deep_primes * deep_primes
-    for index, p in levels[1:]:
-        deep_powers[np.searchsorted(deep, index)] *= p
+    rest = (lo + step * _runs(starts[i] + first * ps, ps * ps, n)) // deep_powers
+    while (more := rest % deep_primes == 0).any():
+        rest[more] //= deep_primes[more]
+        deep_powers[more] *= deep_primes[more]
     if deep.size:
         deep_values = local(deep_powers.astype(np.uint64), deep_primes.astype(np.uint64))
     at_primes = local(primes.astype(np.uint64))
@@ -499,72 +539,60 @@ def _sieve_hits(lo: int, primes: np.ndarray, starts: np.ndarray, local, factored
         np.multiply.at(out, index, values)
 
 
-def _sieve_segment(
-    lo: int, primes: np.ndarray, local, wheel: _Wheel, out: np.ndarray, step: int = 1
-) -> None:
+def _sieve_segment(lo: int, local, walk: _Walk, out: np.ndarray, step: int = 1) -> None:
     """Write g(lo + step*j) for j in [0, out.size) into out, g multiplicative.
 
     local is the caller's rule: local(pe, p) is g at the uint64 array pe of
     powers of the prime p, or of the primes in the uint64 array p shaped like
     pe, and local(q) is g at the uint64 array q of 1s and primes, so that
-    local(p) == local(p, p) at every prime p.  wheel is the walk's _Wheel
-    under the same rule, and primes the ascending base primes from 2, of
-    which the kernel takes those up to sqrt(hi).  They go in by size, in
-    three tiers, each multiplying p**v into factored (the product of the
+    local(p) == local(p, p) at every prime p.  walk is the _Walk, under the
+    same rule, of the progression the segment lies on, and the kernel takes
+    its primes up to sqrt(hi).  They go in by size, in three tiers, the same
+    at every step, each multiplying p**v into factored (the product of the
     prime powers found so far) and g(p**v) into out:
 
     - Wheel: 2, 3, 5 and 7 come from copying the wheel into factored and
       out.  The pattern leaves 1 at the terms p**top divides, which alone
-      cost a strided multiply by the exact p**v and by local(p**v, p).
-    - Loop: each other prime below _HIT_TIER, and at step > 1 every other
-      prime, costs one Python iteration: a strided multiply by p, one by
-      g(p) unless g(p) == 1, and, if p**2 divides a term, one
-      local(p**e, p) call on just those terms.
-    - Hits: at step 1 the primes from _HIT_TIER up go in by their hits,
-      all at once (_sieve_hits).
+      cost a strided multiply by the exact p**v and by local(p**v, p); so
+      do the terms that a prime from 11 dividing step divides.
+    - Loop: each other prime below _HIT_TIER costs one Python iteration: a
+      strided multiply by p, one by g(p) unless g(p) == 1, and, if p**2
+      divides a term, one local(p**e, p) call on just those terms.
+    - Hits: the primes from _HIT_TIER up go in by their hits, all at once
+      (_sieve_hits).
 
-    The cofactor q = term / factored left after them is 1 or a single prime
-    and contributes local(q).
+    Each such prime hits every p-th term from its first, -lo * step⁻¹ mod p
+    (_first_hits).  The cofactor q = term / factored left after them is 1 or
+    a single prime and contributes local(q).
     """
     size = out.size
     hi = lo + step * (size - 1)
     # the product of the p**e found so far divides its term, so below 2**32 it fits in 4 bytes
     factored = np.empty(size, dtype=np.uint32 if hi < 1 << 32 else np.uint64)
-    first = (lo - wheel.lo) // step % wheel.powers.size
-    _tile(factored, wheel.powers, first)
-    _tile(out, wheel.values, first)
-    for p, top in _WHEEL:
+    first = (lo - walk.lo) // step % walk.powers.size
+    _tile(factored, walk.powers, first)
+    _tile(out, walk.values, first)
+    for p, top in walk.deep:
         deep = _deep_terms(lo, step, size, p, top)
         if deep is not None:
             j, m, sub = deep
             # one dtype: the mixed in-place multiply took twice as long
             factored[j::m] *= sub.astype(factored.dtype)
             out[j::m] *= local(sub, p)
-    # the base primes from 2 on: the wheel's are the first
-    primes = primes[len(_WHEEL) : np.searchsorted(primes, isqrt(hi), side="right")]
-    starts = (-lo) % primes
-    # p divides no term unless it divides some integer in [lo, hi]
-    hit = starts <= hi - lo
-    primes, starts = primes[hit], starts[hit]
-    if step == 1:
-        tier = np.searchsorted(primes, _HIT_TIER)
-        if tier < primes.size:
-            _sieve_hits(lo, primes[tier:], starts[tier:], local, factored, out)
-        primes, starts = primes[:tier], starts[:tier]
-    at_primes = local(primes.astype(np.uint64)).tolist()
-    for p, start, at_p in zip(primes.tolist(), starts.tolist(), at_primes):
-        if step == 1:
-            stride = p
-        else:
-            found = _progression_hits(lo, step, p)
-            if found is None or found[0] >= size:
-                continue
-            start, stride = found
-        factored[start::stride] *= p
+    rows = walk.rows[:, : walk.rows[0].searchsorted(isqrt(hi), side="right")]
+    starts = _first_hits(lo, rows)
+    # p divides no term unless its first hit is one
+    rows, starts = rows.compress(starts < size, axis=1), starts.compress(starts < size)
+    tier = rows[0].searchsorted(_HIT_TIER)
+    if tier < starts.size:
+        _sieve_hits(lo, step, rows[:, tier:], starts[tier:], local, factored, out)
+    at_primes = local(rows[0, :tier].astype(np.uint64)).tolist()
+    for p, start, at_p in zip(rows[0, :tier].tolist(), starts[:tier].tolist(), at_primes):
+        factored[start::p] *= p
         deep = _deep_terms(lo, step, size, p, 2)
         if deep is None:
             if at_p != 1:
-                out[start::stride] *= at_p
+                out[start::p] *= at_p
             continue
         j, m, sub = deep
         factored[j::m] *= sub // p
@@ -574,7 +602,7 @@ def _sieve_segment(
         else:
             # the deep terms take g(p**e) in place of g(p)
             saved = out[j::m] * sub
-            out[start::stride] *= at_p
+            out[start::p] *= at_p
             out[j::m] = saved
     # The cofactor pass divides in float64, in chunks so that it holds no
     # second full-size array.  That is exact while hi < 2**53 (tables stop at
@@ -595,14 +623,14 @@ def build_table(lo: int, hi: int, kind: Kind, step: int = 1) -> np.ndarray:
     table of every a-th integer costs about 1/a of the dense one.  Memory is
     O((hi - lo) / step) for the output plus O(sqrt(hi)) for base primes,
     which _base_primes sieves once for every table after it.  The table's
-    wheel (_wheel, one period of the small primes' pattern along the
-    progression) is built once per call; then the kernel walks the terms in
-    segments of _segment(step) entries, DEFAULT_SEGMENT / 4 at step 1 and
-    DEFAULT_SEGMENT otherwise, so its scratch stays a fraction of the
-    output.  Each segment copies the wheel, loops over the primes from 11
-    (at step 1, up to _HIT_TIER), applies the larger ones of a unit-step
-    table by their hits, and divides out the cofactor in float64.  An output
-    over _MEMORY_BUDGET bytes is refused with CapacityError.
+    _Walk (one period of the small primes' pattern along the progression,
+    and at step > 1 step's inverse mod each base prime from 11) is built once
+    per call, from a wheel lookup built once per Kind; then the kernel walks
+    the terms in segments of _segment() entries, DEFAULT_SEGMENT / 4 at
+    every step, so its scratch stays a fraction of the output.  Each segment
+    copies the wheel, loops over the primes from 11 below _HIT_TIER, applies
+    the larger ones by their hits, and divides out the cofactor in float64.
+    An output over _MEMORY_BUDGET bytes is refused with CapacityError.
     """
     if lo < 1 or hi < lo:
         raise UsageError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
@@ -613,12 +641,14 @@ def build_table(lo: int, hi: int, kind: Kind, step: int = 1) -> np.ndarray:
     if not isinstance(kind, Kind):
         raise UsageError(f"kind must be Kind.SIGMA or Kind.PHI, got {kind!r}")
     _check_bytes(8 * ((hi - lo) // step + 1))
-    primes = _base_primes(isqrt(hi))
+    # any step past hi - lo gives the one term lo; one below 2**48 keeps the kernel's
+    # int64 products exact
+    step = min(step, hi - lo + 1)
     out = np.empty((hi - lo) // step + 1, dtype=np.uint64)
-    wheel = _wheel(lo, step, out.size, kind.local)
-    segment = _segment(step)
+    walk = _walk(lo, step, out.size, _kind_lookup(kind), _base_primes(isqrt(hi)))
+    segment = _segment()
     for i in range(0, out.size, segment):
-        _sieve_segment(lo + i * step, primes, kind.local, wheel, out[i : i + segment], step)
+        _sieve_segment(lo + i * step, kind.local, walk, out[i : i + segment], step)
     return out
 
 

@@ -132,15 +132,15 @@ def _check_work(spec: EquationSpec, lo: int, hi: int, span: int) -> None:
 
     search's one up-front check, for every spec.  Each table reduces its
     start modulo every base prime up to the square root of its largest
-    argument, once per kernel segment, and a stepped table loops over them
-    in Python, so the work is counted as tables per block x blocks x
-    pi(isqrt(largest argument)), at every step, for blocks of span values
-    of n.  For its default blocks search passes span = 2**20 / a, one
-    stepped segment, also where its unit-shift blocks are shorter: those
-    are two whole unit-step segments with a halo under a quarter of one,
-    so they sieve fewer segments per n than a 2**20-value block, whose
-    table ends in a short one.  So large multipliers cost far more per n
-    than the range check allows for, and so do large offsets.
+    argument, and its kernel segments then take those that hit all at once,
+    with no Python loop over them at any step; so the work is counted as
+    tables per block x blocks x pi(isqrt(largest argument)), at every step,
+    for blocks of span values of n.  For its default blocks search passes
+    span = 2**20 / a, also where its unit-shift blocks are shorter: those
+    are two whole kernel segments with a halo under a quarter of one, so
+    they sieve fewer segments per n than a 2**20-value block, whose table
+    ends in a short one.  So large multipliers cost more per n than the
+    range check allows for, and so do large offsets.
     """
     if span < 1 or hi < lo:
         return  # the block map refuses span < 1 itself
@@ -151,7 +151,7 @@ def _check_work(spec: EquationSpec, lo: int, hi: int, span: int) -> None:
     work = tables * -(-(hi - lo + 1) // span) * arith._base_primes(isqrt(largest)).size
     if work > arith._WORK_LIMIT:
         raise CapacityError(
-            f"search would loop over {work} base primes, over the {arith._WORK_LIMIT} limit"
+            f"search would sieve with {work} base primes, over the {arith._WORK_LIMIT} limit"
         )
 
 
@@ -184,6 +184,6 @@ def search(
         # two-segment blocks only while the halo is under a quarter segment:
         # longer halos sieve more per n in them than in 2**20-value blocks
         # (phi(n) = phi(n + 2**18 - 1) to 4 * 10**6: 0.17 -> 0.26 s, 2-vCPU Xeon)
-        unit = spec.a1 == spec.a2 == 1 and h < arith._segment(1) >> 2
+        unit = spec.a1 == spec.a2 == 1 and h < arith._segment() >> 2
         block_size = arith._unit_span(h) if unit else span
     return _map_blocks(partial(_scan_block, spec), lo, xmax, block_size, threads)

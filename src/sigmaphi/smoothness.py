@@ -41,15 +41,15 @@ def _segments(x: int, local, bound: int | None = None):
     segment at a time, g multiplicative with g(p**e) = local(p**e, p).  The next segment
     overwrites mask.  The kernel sieves the wheel primes 2, 3, 5, 7 and the primes
     <= min(bound, isqrt(x)), and hands it the rest of each n as one cofactor, which bound
-    is for the caller to make exact.  The walk's wheel is built once, for every segment.
+    is for the caller to make exact.  The walk (its wheel and primes) is built once, for
+    every segment.
     """
     top = math.isqrt(x) if bound is None else min(bound, math.isqrt(x))
-    primes = arith._base_primes(top)
-    wheel = arith._wheel(1, 1, x, local)
-    buffer = np.empty(arith._segment(1), dtype=bool)
+    walk = arith._walk(1, 1, x, arith._wheel_lookup(local), arith._base_primes(top))
+    buffer = np.empty(arith._segment(), dtype=bool)
     for lo in range(1, x + 1, buffer.size):
         out = buffer[: x - lo + 1]
-        arith._sieve_segment(lo, primes, local, wheel, out)
+        arith._sieve_segment(lo, local, walk, out)
         yield lo, out
 
 

@@ -267,7 +267,7 @@ def test_wheel_pattern_and_values():
     psi3 = lambda pe, p=None: (pe if p is None else p) <= 3  # noqa: E731
     for lo, step, size, rule in ((5, 6, 1000, Kind.SIGMA.local), (10**9 + 1, 1, 500, psi3),
                                  (7, 1, 3 * WHEEL, psi3), (88199, 35, 5000, Kind.PHI.local)):
-        wheel = arith._wheel(lo, step, size, rule)
+        wheel = arith._walk(lo, step, size, arith._wheel_lookup(rule), arith._base_primes(0))
         assert (wheel.values.dtype == bool) == (rule is psi3) and wheel.values.itemsize <= 2
         for j in range(0, size, 97):
             n = lo + step * j
@@ -316,7 +316,8 @@ SHARED_TERMS = [
 
 def test_vectorised_primes_share_a_term(monkeypatch):
     # every prime >= 2**8 goes in by its hits, the p**v exactly dividing each term with
-    # it: in a 4096-entry window around n they all hit n, and in 2**10-entry segments too
+    # it: in a 4096-entry window around n they all hit n, and in 2**10-entry segments too;
+    # so they do along the progressions of steps 2 and 3 through n, read off the window
     for factors in SHARED_TERMS:
         n = prod(p**e for p, e in factors)
         lo, hi = n - 2048, n + 2047
@@ -329,6 +330,10 @@ def test_vectorised_primes_share_a_term(monkeypatch):
                 assert values == expected[kind], (n, kind, seg)
                 at_n = prod(arith._value(kind, p**e, [(p, e)]) for p, e in factors)
                 assert values[n - lo] == at_n, (n, kind, seg)
+                for step in (2, 3):
+                    start = lo + (n - lo) % step
+                    stepped = build_table(start, hi, kind, step=step).tolist()
+                    assert stepped == values[start - lo :: step], (n, kind, seg, step)
             monkeypatch.undo()
 
 
@@ -344,7 +349,14 @@ def test_stepped_tables_match_scalars_at_random_offsets(monkeypatch):
     # steps with small prime factors, so that some primes divide every term or none
     steps = [rng.choice((1, 2, 6, 30, 210)) * rng.randrange(1, 40) for _ in range(6)]
     cases = [(rng.randrange(1, 1 << 47), step, 100, [DEFAULT_SEGMENT]) for step in steps]
-    cases += [(lo, step, 60, [7, DEFAULT_SEGMENT]) for lo, step in PERIOD_STEPS]
+    # DEFAULT_SEGMENT = 28 gives 7-entry segments
+    cases += [(lo, step, 60, [28, DEFAULT_SEGMENT]) for lo, step in PERIOD_STEPS]
+    # steps with a prime factor f >= 2**8, which divides every term or none: lo near
+    # 2**47 coprime to f, a multiple of f, and a multiple of f*f
+    for step, f in ((257, 257), (2 * 263, 263), (3 * 1009, 1009)):
+        lo = rng.randrange(1 << 46, 1 << 47)
+        for start in (lo + (lo % f == 0), lo - lo % f, lo - lo % (f * f)):
+            cases.append((start, step, 60, [28, DEFAULT_SEGMENT]))
     for lo, step, terms, segments in cases:
         hi = lo + terms * step
         facs = [factorize(n) for n in range(lo, hi + 1, step)]
@@ -358,16 +370,18 @@ def test_stepped_tables_match_scalars_at_random_offsets(monkeypatch):
 
 
 def test_table_scratch_peak():
-    # the 8 MiB output plus one 2**18-entry segment's scratch: 4 B per entry below
-    # 2**32, and the level arrays of p = 2 and the cofactor chunks, come to about 10.6 MiB
-    build_table(1, 100, Kind.SIGMA)
-    tracemalloc.start()
-    try:
-        build_table(1, 2**20 + 1, Kind.SIGMA)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 11 * 2**20
+    # the 8 MiB output plus one 2**18-entry segment's scratch, at any step: 4 B per entry
+    # below 2**32, and the level arrays of p = 2 and the cofactor chunks, come to about
+    # 10.6 MiB
+    for hi, step in ((2**20 + 1, 1), (2**21 + 1, 2)):
+        build_table(1, 100, Kind.SIGMA, step=step)
+        tracemalloc.start()
+        try:
+            build_table(1, hi, Kind.SIGMA, step=step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * 2**20, step
 
 
 def test_block_scratch_peak():
@@ -390,7 +404,7 @@ def test_block_scratch_peak():
 
 
 # 49 shares factors with the wheel's period 88200 (see also PERIOD_STEPS)
-STEPS = [*range(1, 41), 49, 64, 81, 210, 1024, 2310]
+STEPS = [*range(1, 41), 49, 64, 81, 210, 1024, 2310, 257, 2 * 263, 3 * 1009]
 
 
 @pytest.mark.parametrize("step", STEPS)
@@ -402,7 +416,8 @@ def test_stepped_table_matches_dense(step, monkeypatch):
         hi = lo + 60 * step + step // 2
         for kind in Kind:
             dense = build_table(lo, hi, kind)[::step]
-            for seg in (1, 7, DEFAULT_SEGMENT):
+            # 1- and 7-entry segments, and the default
+            for seg in (1, 28, DEFAULT_SEGMENT):
                 monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
                 stepped = build_table(lo, hi, kind, step=step)
                 monkeypatch.undo()
