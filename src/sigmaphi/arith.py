@@ -56,6 +56,28 @@ _base = (0, _simple_primes(0))
 _base_lock = threading.Lock()
 
 
+class _Step:
+    """One step's entry in _steps, its arrays read-only: inverses[i] is step⁻¹
+    mod the i-th prime, or 0 where it divides step, replaced when extended;
+    patterns, None until a walk needs it, holds the wheel's pattern along
+    every progression at step (see _pattern).
+    """
+
+    def __init__(self) -> None:
+        self.inverses = np.zeros(0, dtype=np.int64)
+        self.patterns: np.ndarray | None = None
+
+
+# What walks at one step > 1 share, by step, for the _STEPS steps walked last
+# (a search walks at most two, a1 and a2), oldest first: step⁻¹ mod the
+# ascending primes from 2, as many as walks have asked for (8.6 MB per step
+# for the pi(2**24) primes of a table at 2**48), and the wheel's patterns
+# (176 KB per step).  Read and grown under _base_lock, so that a search's
+# blocks, on any thread, build each once.
+_STEPS = 2
+_steps: dict[int, _Step] = {}
+
+
 def _base_primes(limit: int) -> np.ndarray:
     """Primes <= limit as an int64 array: a view of one cached array.
 
@@ -71,6 +93,58 @@ def _base_primes(limit: int) -> np.ndarray:
             primes.flags.writeable = False  # callers share it
             _base = (bound, primes)
     return primes[: np.searchsorted(primes, limit, side="right")]
+
+
+def _step_entry(step: int) -> _Step:
+    """step's entry in _steps, made newest, dropping the oldest past _STEPS.
+    The caller holds _base_lock.
+    """
+    entry = _steps.pop(step, None) or _Step()
+    _steps[step] = entry
+    while len(_steps) > _STEPS:
+        del _steps[next(iter(_steps))]
+    return entry
+
+
+def _inverses_mod(step: int, primes: np.ndarray) -> np.ndarray:
+    """step⁻¹ mod each prime p of the int64 array primes, or 0 where p divides
+    step: the extended Euclidean algorithm, run on all of them at once.
+
+    Each p's pairs (r0, t0) and (r1, t1) keep t*step = r (mod p), from
+    (p, 0) and (step mod p, 1); r1 reaches gcd(step, p) = 1 unless p divides
+    step, and t1 is then the inverse, up to a multiple of p.  Every |t|
+    stays at most p, so int64 holds them.  The runs that are done drop out,
+    by integer index, which is cheaper than a boolean mask.
+    """
+    out = np.zeros_like(primes)
+    live = np.flatnonzero(step % primes)
+    r0 = primes[live]
+    r1 = step % r0
+    t0, t1 = np.zeros_like(live), np.ones_like(live)
+    while live.size:
+        done = r1 == 1
+        if done.any():
+            out[live[done]] = t1[done]
+            more = np.flatnonzero(~done)
+            live, r0, r1, t0, t1 = live[more], r0[more], r1[more], t0[more], t1[more]
+        q, r = np.divmod(r0, r1)
+        r0, r1, t0, t1 = r1, r, t1, t0 - q * t1
+    return out % primes
+
+
+def _step_inverses(step: int, primes: np.ndarray) -> np.ndarray:
+    """step⁻¹ mod each prime of primes, the ascending primes from 2 up to some
+    bound (a _base_primes result), or 0 where it divides step: a read-only
+    view of step's cached array, extended by _inverses_mod when shorter.
+    """
+    with _base_lock:
+        entry = _step_entry(step)
+        have = entry.inverses.size
+        if have < primes.size:
+            inverses = np.concatenate((entry.inverses, _inverses_mod(step, primes[have:])))
+            inverses.flags.writeable = False  # walks on other threads share it
+            entry.inverses = inverses
+        return entry.inverses[: primes.size]
 
 
 # Up-front limits, so that a request which would exhaust memory or sieve for
@@ -309,10 +383,15 @@ def _unit_span(halo: int) -> int:
     """Values per block of a unit-step table that reaches halo entries past its
     block, so that the table is two whole kernel segments (at least 1 value).
 
-    One segment per table was tried: with no freed chunk over 2 MiB, glibc
-    trims the heap after each block and the next block faults it back in
-    (~15,900 minor page faults per search of f(n) = f(n + 1) to 2 * 10**6
-    for both functions, against ~24).
+    One segment per table was tried when every block allocated its own
+    table: glibc trimmed the heap after each block and the next block
+    faulted it back in (~15,900 minor page faults per search of f(n) =
+    f(n + 1) to 2 * 10**6 for both functions, against ~24).  Now that a
+    search's workers reuse their buffers from block to block, one segment
+    per table faults almost only at each search's first block (~2,500 per
+    pair of searches, against ~1 at two segments) and ran 72 against 77-81
+    ms per pair (medians of 10 pairs in one process, 2-vCPU Xeon); the span
+    stays two segments until the benchmark measures the difference.
     """
     return max(1, 2 * _segment() - halo)
 
@@ -356,6 +435,32 @@ def _wheel_powers() -> np.ndarray:
         rows *= np.array(digits, dtype=np.uint16)
     powers.flags.writeable = False  # unit-step walks share it
     return powers
+
+
+def _pattern(lo: int, step: int) -> tuple[int, np.ndarray]:
+    """(anchor, powers): the wheel's pattern along the progression of lo at
+    step, powers[k] being that of the term anchor + k*step, over one period
+    of it, m = _WHEEL_PERIOD / g terms (g = gcd(step, _WHEEL_PERIOD)).
+
+    The pattern at residue c = lo mod g, powers[k] = _wheel_powers()[(c +
+    k*step) mod _WHEEL_PERIOD], serves every lo with that residue: anchor is
+    the term lo - k0*step that is c mod _WHEEL_PERIOD.  At step 1 it is the
+    wheel's own pattern.  At any other step the g patterns, one period of
+    the wheel in all, are built together on the step's first walk and kept
+    in _steps, as rows of a g x m array.
+    """
+    g = gcd(step, _WHEEL_PERIOD)
+    c, m = lo % g, _WHEEL_PERIOD // g
+    anchor = lo - step * ((lo - c) // g * pow(step // g, -1, m) % m)
+    if step == 1:
+        return anchor, _wheel_powers()
+    with _base_lock:
+        entry = _step_entry(step)
+        if entry.patterns is None:
+            index = np.arange(g)[:, None] + step % _WHEEL_PERIOD * np.arange(m)
+            entry.patterns = _wheel_powers()[index % _WHEEL_PERIOD]
+            entry.patterns.flags.writeable = False  # walks on other threads share it
+        return anchor, entry.patterns[c]
 
 
 # Each row of _WHEEL_ROWS is one set of the wheel's p**v with v < top, 24 in
@@ -413,33 +518,30 @@ class _Walk(NamedTuple):
 
 def _walk(lo: int, step: int, size: int, lookup: np.ndarray, primes: np.ndarray) -> _Walk:
     """The _Walk of the size terms lo, lo + step, ... with the ascending base
-    primes primes from 2, under the rule whose _wheel_lookup is lookup.
+    primes primes from 2 (a _base_primes result), under the rule whose
+    _wheel_lookup is lookup.
 
-    Of the primes from 11 it keeps those with a multiple in [lo, hi], and
-    finds step's inverse mod each only at step > 1, and only if some are
-    left.  A unit-step walk of a period or more reads the wheel's pattern
-    itself, anchored at a multiple of the period; any other reads one period
-    along its progression, _WHEEL_PERIOD / gcd(step, _WHEEL_PERIOD) terms,
-    or the whole walk if it is shorter.
+    Of the primes from 11 it keeps those with a multiple in [lo, hi].  It
+    builds nothing that depends on step alone: step's inverses
+    (_step_inverses) and the wheel's pattern along the progression
+    (_pattern) are built once per step, and the walk compresses the
+    inverses with the mask of its primes and looks the rule's values up on
+    the pattern, or on the part of it that a walk shorter than a period
+    reads.
     """
+    base, primes = primes, primes[len(_WHEEL) :]
     # p divides no term unless it divides some integer in [lo, hi]
-    primes = primes[len(_WHEEL) :]
-    primes = primes.compress((-lo) % primes <= step * (size - 1))
-    rows, deep = primes[None], _WHEEL
-    if step > 1 and primes.size:
-        # step's inverse mod each prime, or 0 where it divides step: one pow per prime and
-        # walk, cheaper on short walks than a vectorised Fermat power's ~50 numpy calls
-        inverses = np.array([pow(step, -1, p) if step % p else 0 for p in primes.tolist()])
-        deep += tuple((p, 1) for p in primes[inverses == 0].tolist())
-        rows = np.stack((primes, inverses)).compress(inverses > 0, axis=1)
-    period = _WHEEL_PERIOD // gcd(step, _WHEEL_PERIOD)
-    powers = _wheel_powers()
-    if step == 1 and size >= period:
-        lo -= lo % period
-    else:
-        index = lo % _WHEEL_PERIOD + step % _WHEEL_PERIOD * np.arange(min(size, period))
-        powers = powers[index % _WHEEL_PERIOD]
-    return _Walk(lo, powers, np.take(lookup, powers), rows, deep)
+    keep = (-lo) % primes <= step * (size - 1)
+    rows, deep = primes.compress(keep)[None], _WHEEL
+    if step > 1 and rows.size:
+        inverses = _step_inverses(step, base)[len(_WHEEL) :].compress(keep)
+        deep += tuple((p, 1) for p in rows[0, inverses == 0].tolist())
+        rows = np.stack((rows[0], inverses)).compress(inverses > 0, axis=1)
+    anchor, powers = _pattern(lo, step)
+    if size < powers.size:  # a walk shorter than a period reads only its own terms
+        powers = np.take(powers, np.arange(size) + (lo - anchor) // step, mode="wrap")
+        anchor = lo
+    return _Walk(anchor, powers, np.take(lookup, powers), rows, deep)
 
 
 def _first_hits(x, rows: np.ndarray) -> np.ndarray:
@@ -539,17 +641,52 @@ def _sieve_hits(lo: int, step: int, rows, starts, local, factored, out) -> None:
         np.multiply.at(out, index, values)
 
 
-def _sieve_segment(lo: int, local, walk: _Walk, out: np.ndarray, step: int = 1) -> None:
+class _Scratch:
+    """Arrays kept for reuse by one worker, from table to table and from
+    segment to segment: the tables it sieves and the kernel's per-segment
+    scratch.  A search gives each of its workers one for the whole call, so
+    that no block allocates (or faults in) its tables and scratch afresh;
+    build_table makes one per call otherwise.  Not for sharing between
+    threads.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict = {}
+        self._offsets = (0, np.zeros(0))
+
+    def array(self, name, size: int, dtype) -> np.ndarray:
+        """The first size entries of the array kept under name and dtype, their
+        contents undefined, the array grown to size entries if shorter.
+        """
+        key = (name, np.dtype(dtype))
+        kept = self._arrays.get(key)
+        if kept is None or kept.size < size:
+            kept = self._arrays[key] = np.empty(size, dtype=dtype)
+        return kept[:size]
+
+    def offsets(self, size: int, step: int) -> np.ndarray:
+        """0, step, ..., (size - 1) * step as float64, exact below 2**53: a
+        prefix of one kept array, rebuilt when step changes.
+        """
+        if self._offsets[0] != step or self._offsets[1].size < size:
+            self._offsets = (step, np.arange(size, dtype=np.float64) * step)
+        return self._offsets[1][:size]
+
+
+def _sieve_segment(
+    lo: int, local, walk: _Walk, out: np.ndarray, scratch: _Scratch, step: int = 1
+) -> None:
     """Write g(lo + step*j) for j in [0, out.size) into out, g multiplicative.
 
     local is the caller's rule: local(pe, p) is g at the uint64 array pe of
     powers of the prime p, or of the primes in the uint64 array p shaped like
     pe, and local(q) is g at the uint64 array q of 1s and primes, so that
     local(p) == local(p, p) at every prime p.  walk is the _Walk, under the
-    same rule, of the progression the segment lies on, and the kernel takes
-    its primes up to sqrt(hi).  They go in by size, in three tiers, the same
-    at every step, each multiplying p**v into factored (the product of the
-    prime powers found so far) and g(p**v) into out:
+    same rule, of the progression the segment lies on, and scratch the
+    _Scratch its scratch comes from.  The kernel takes its primes up to
+    sqrt(hi).  They go in by size, in three tiers, the same at every step,
+    each multiplying p**v into factored (the product of the prime powers
+    found so far) and g(p**v) into out:
 
     - Wheel: 2, 3, 5 and 7 come from copying the wheel into factored and
       out.  The pattern leaves 1 at the terms p**top divides, which alone
@@ -568,7 +705,7 @@ def _sieve_segment(lo: int, local, walk: _Walk, out: np.ndarray, step: int = 1) 
     size = out.size
     hi = lo + step * (size - 1)
     # the product of the p**e found so far divides its term, so below 2**32 it fits in 4 bytes
-    factored = np.empty(size, dtype=np.uint32 if hi < 1 << 32 else np.uint64)
+    factored = scratch.array("factored", size, np.uint32 if hi < 1 << 32 else np.uint64)
     first = (lo - walk.lo) // step % walk.powers.size
     _tile(factored, walk.powers, first)
     _tile(out, walk.values, first)
@@ -611,26 +748,43 @@ def _sieve_segment(lo: int, local, walk: _Walk, out: np.ndarray, step: int = 1) 
     # rounds an exact quotient to itself.
     for i in range(0, size, _TAIL_CHUNK):
         j = min(i + _TAIL_CHUNK, size)
-        terms = np.arange(lo + i * step, lo + j * step, step, dtype=np.float64)
+        terms = scratch.array("terms", j - i, np.float64)
+        np.add(scratch.offsets(j - i, step), lo + i * step, out=terms)
         terms /= factored[i:j]
-        out[i:j] *= local(terms.astype(np.int64).view(np.uint64))
+        cofactors = terms.view(np.int64)  # in place: each entry is read before it is written
+        np.copyto(cofactors, terms, casting="unsafe")
+        out[i:j] *= local(cofactors.view(np.uint64))
 
 
-def build_table(lo: int, hi: int, kind: Kind, step: int = 1) -> np.ndarray:
+def build_table(
+    lo: int,
+    hi: int,
+    kind: Kind,
+    step: int = 1,
+    *,
+    out: np.ndarray | None = None,
+    scratch: _Scratch | None = None,
+) -> np.ndarray:
     """uint64 array of f(lo), f(lo + step), ... up to hi, indexed by (n - lo) // step.
 
     f is sigma or phi.  Only the terms of the progression are sieved, so a
     table of every a-th integer costs about 1/a of the dense one.  Memory is
     O((hi - lo) / step) for the output plus O(sqrt(hi)) for base primes,
     which _base_primes sieves once for every table after it.  The table's
-    _Walk (one period of the small primes' pattern along the progression,
-    and at step > 1 step's inverse mod each base prime from 11) is built once
-    per call, from a wheel lookup built once per Kind; then the kernel walks
-    the terms in segments of _segment() entries, DEFAULT_SEGMENT / 4 at
-    every step, so its scratch stays a fraction of the output.  Each segment
-    copies the wheel, loops over the primes from 11 below _HIT_TIER, applies
-    the larger ones by their hits, and divides out the cofactor in float64.
-    An output over _MEMORY_BUDGET bytes is refused with CapacityError.
+    _Walk is built once per call, from a wheel lookup built once per Kind
+    and, at step > 1, from step's inverses and wheel pattern, built once per
+    step; then the kernel walks the terms in segments of _segment() entries,
+    DEFAULT_SEGMENT / 4 at every step, so its scratch stays a fraction of
+    the output, and every segment reuses it.  Each segment copies the wheel,
+    loops over the primes from 11 below _HIT_TIER, applies the larger ones
+    by their hits, and divides out the cofactor in float64.  An output over
+    _MEMORY_BUDGET bytes is refused with CapacityError.
+
+    The result is a fresh array.  out and scratch are internal, for the
+    workers of search and consecutive_multiperfect_search, which sieve every
+    block into the same buffers: the table is written into out, a uint64
+    array of its (hi - lo) // step + 1 entries, and the kernel takes its
+    scratch from the _Scratch scratch instead of a fresh one.
     """
     if lo < 1 or hi < lo:
         raise UsageError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
@@ -640,15 +794,20 @@ def build_table(lo: int, hi: int, kind: Kind, step: int = 1) -> np.ndarray:
         raise UsageError(f"step must be >= 1, got {step}")
     if not isinstance(kind, Kind):
         raise UsageError(f"kind must be Kind.SIGMA or Kind.PHI, got {kind!r}")
-    _check_bytes(8 * ((hi - lo) // step + 1))
+    size = (hi - lo) // step + 1
+    _check_bytes(8 * size)
+    if out is None:
+        out = np.empty(size, dtype=np.uint64)
+    elif out.shape != (size,) or out.dtype != np.uint64:
+        raise UsageError(f"out must be {size} uint64 entries, got {out.shape} {out.dtype}")
+    scratch = _Scratch() if scratch is None else scratch
     # any step past hi - lo gives the one term lo; one below 2**48 keeps the kernel's
     # int64 products exact
     step = min(step, hi - lo + 1)
-    out = np.empty((hi - lo) // step + 1, dtype=np.uint64)
     walk = _walk(lo, step, out.size, _kind_lookup(kind), _base_primes(isqrt(hi)))
     segment = _segment()
     for i in range(0, out.size, segment):
-        _sieve_segment(lo + i * step, kind.local, walk, out[i : i + segment], step)
+        _sieve_segment(lo + i * step, kind.local, walk, out[i : i + segment], scratch, step)
     return out
 
 

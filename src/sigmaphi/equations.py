@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -60,13 +61,19 @@ def _first_valid_n(spec: EquationSpec) -> int:
 
 
 def _map_blocks(
-    scan: Callable[[tuple[int, int]], Sequence], lo: int, hi: int, span: int, threads: int
+    scan: Callable[[tuple[int, int], arith._Scratch], Sequence],
+    lo: int,
+    hi: int,
+    span: int,
+    threads: int,
 ) -> list:
     """Results of scan on each block of span integers in [lo, hi], in block order.
 
     With threads > 1 the blocks are scanned concurrently, and the result is the
-    same for any thread count.  A range of more than arith._SIEVE_LIMIT
-    integers is refused up front.
+    same for any thread count.  Each worker passes its own arith._Scratch to
+    every block it scans, so that a call sieves into the same buffers from
+    block to block; they are freed when the call returns.  A range of more
+    than arith._SIEVE_LIMIT integers is refused up front.
     """
     if hi - lo + 1 > arith._SIEVE_LIMIT:
         raise CapacityError(f"[{lo}, {hi}] spans more than {arith._SIEVE_LIMIT} integers")
@@ -78,11 +85,17 @@ def _map_blocks(
         raise UsageError(f"block span must be >= 1, got {span}")
     blocks = [(u, min(hi, u + span - 1)) for u in range(lo, hi + 1, span)]
     if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(scan, blocks))
+        workers = threading.local()
+
+        def start() -> None:
+            workers.scratch = arith._Scratch()
+
+        with ThreadPoolExecutor(max_workers=threads, initializer=start) as pool:
+            parts = list(pool.map(lambda block: scan(block, workers.scratch), blocks))
     else:
         # not pooled: a worker's own malloc arena took search-affine peak RSS 49.5 -> 57 MiB
-        parts = map(scan, blocks)
+        scratch = arith._Scratch()
+        parts = [scan(block, scratch) for block in blocks]
     return [item for part in parts for item in part]
 
 
@@ -98,27 +111,41 @@ def _one_table(spec: EquationSpec, length: int) -> bool:
     return spec.a1 == spec.a2 and d % spec.a1 == 0 and abs(d) // spec.a1 < length
 
 
-def _tables(spec: EquationSpec, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+def _tables(
+    spec: EquationSpec, u: int, v: int, scratch: arith._Scratch
+) -> tuple[np.ndarray, np.ndarray]:
     """f(a1*n + b1) and f(a2*n + b2) for n in [u, v], as two uint64 arrays.
 
     Under _one_table they are two views, h = |b2 - b1| / a entries apart, of
-    one table over the union of the two argument ranges.
+    one table over the union of the two argument ranges.  The tables are
+    sieved into one buffer of scratch, which the worker's next block
+    overwrites: one allocation per worker rather than per table, so that
+    glibc, which keeps a freed chunk on its heap while the heap's free top
+    stays under twice the largest mapped chunk freed before, keeps a
+    search's buffers for the next (~2 * 10**3 minor page faults fewer per
+    search of f(2n + 1) = f(3n + 1) to 10**6 than with one buffer per table).
     """
-    if _one_table(spec, v - u + 1):
+    n = v - u + 1
+    if _one_table(spec, n):
         a, b1, b2 = spec.a1, spec.b1, spec.b2
         h = abs(b2 - b1) // a
-        table = arith.build_table(a * u + min(b1, b2), a * v + max(b1, b2), spec.kind, step=a)
+        lo, hi = a * u + min(b1, b2), a * v + max(b1, b2)
+        table = scratch.array("tables", n + h, np.uint64)
+        arith.build_table(lo, hi, spec.kind, step=a, out=table, scratch=scratch)
         low, high = table[: table.size - h], table[h:]
         return (low, high) if b1 < b2 else (high, low)
+    tables = scratch.array("tables", 2 * n, np.uint64)
     return tuple(
-        arith.build_table(a * u + b, a * v + b, spec.kind, step=a)
-        for a, b in ((spec.a1, spec.b1), (spec.a2, spec.b2))
+        arith.build_table(a * u + b, a * v + b, spec.kind, step=a, out=out, scratch=scratch)
+        for (a, b), out in zip(((spec.a1, spec.b1), (spec.a2, spec.b2)), (tables[:n], tables[n:]))
     )
 
 
-def _scan_block(spec: EquationSpec, block: tuple[int, int]) -> list[SolutionRecord]:
+def _scan_block(
+    spec: EquationSpec, block: tuple[int, int], scratch: arith._Scratch
+) -> list[SolutionRecord]:
     u, v = block
-    f1, f2 = _tables(spec, u, v)
+    f1, f2 = _tables(spec, u, v, scratch)
     out = []
     for i in np.nonzero(f1 == f2)[0]:
         n = u + int(i)

@@ -260,9 +260,11 @@ def consecutive_multiperfect_search(xmax: int, threads: int = 1) -> list[int]:
     if xmax < 1:
         raise UsageError(f"xmax must be >= 1, got {xmax}")
 
-    def scan(block: tuple[int, int]) -> list[int]:
+    def scan(block: tuple[int, int], scratch: arith._Scratch) -> list[int]:
         lo, hi = block
-        values = arith.build_table(lo, hi + 1, Kind.SIGMA)  # one past hi for the m+1 check
+        # one past hi for the m+1 check
+        values = scratch.array("tables", hi - lo + 2, np.uint64)
+        arith.build_table(lo, hi + 1, Kind.SIGMA, out=values, scratch=scratch)
         # sigma(m) % m in place, in slices, so that no second block-size array is held
         for i in range(0, values.size, arith._TAIL_CHUNK):
             chunk = values[i : i + arith._TAIL_CHUNK]

@@ -3,7 +3,7 @@ import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from math import prod
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
@@ -557,3 +557,106 @@ def test_small_prime_tuples_come_from_the_sieve():
     # plain ints, so factorize and is_prime never do numpy scalar arithmetic
     assert all(type(p) is int for p in arith._TRIAL_PRIMES)
     assert arith._WITNESSES == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _pow_inverses(step: int, primes) -> list[int]:
+    return [pow(step, -1, p) if step % p else 0 for p in primes.tolist()]
+
+
+# prime factors below 11, from 11 below 2**8, and from 2**8 up; one past 2**40
+INVERSE_STEPS = [2, 3, 8, 49, 210, 11, 13 * 17, 2 * 251, 257, 2 * 263, 3 * 1009, 65537, 2**40 + 15]
+
+
+@pytest.mark.parametrize("step", INVERSE_STEPS)
+def test_step_inverses_match_pow(step, monkeypatch):
+    monkeypatch.setattr(arith, "_steps", {})
+    primes = arith._base_primes(20_000)
+    inverses = arith._step_inverses(step, primes)
+    assert inverses.tolist() == _pow_inverses(step, primes)
+    with pytest.raises(ValueError):  # walks on other threads share it
+        inverses[0] = 1
+    # and straight from the extended Euclid, on primes past 2**20
+    large = _simple_primes(1 << 21)[-500:]
+    assert arith._inverses_mod(step, large).tolist() == _pow_inverses(step, large)
+
+
+def test_step_inverses_for_a_step_above_every_prime(monkeypatch):
+    monkeypatch.setattr(arith, "_steps", {})
+    primes = arith._base_primes(1000)
+    for step in (10**12 + 39, 2**47 - 1, 1009 * 997 * 991):
+        assert step > primes[-1]
+        assert arith._step_inverses(step, primes).tolist() == _pow_inverses(step, primes)
+
+
+def test_step_inverses_grow_with_the_base_primes(monkeypatch):
+    monkeypatch.setattr(arith, "_base", (0, _simple_primes(0)))
+    monkeypatch.setattr(arith, "_steps", {})
+    calls = []
+    real = arith._inverses_mod
+    monkeypatch.setattr(arith, "_inverses_mod", lambda s, p: calls.append(p.size) or real(s, p))
+    small = arith._step_inverses(3, arith._base_primes(100))
+    assert small.tolist() == _pow_inverses(3, _simple_primes(100))
+    # the base primes grow past the cached inverses, which grow with them, by the new primes only
+    primes = arith._base_primes(50_000)
+    assert arith._step_inverses(3, primes).tolist() == _pow_inverses(3, primes)
+    assert calls == [25, primes.size - 25]
+    assert small.tolist() == _pow_inverses(3, _simple_primes(100))  # the old view is untouched
+    # a shorter request reads a prefix, and a table at step 3 builds nothing more
+    assert arith._step_inverses(3, arith._base_primes(1000)).size == 168
+    build_table(10**9 + 1, 10**9 + 3 * 5000, Kind.PHI, step=3)
+    assert len(calls) == 2
+
+
+def test_step_inverses_under_threads(monkeypatch):
+    # a slow Euclid and many threads: unlocked, a step would be built more than once,
+    # or a lost update would leave a short or mixed cache
+    monkeypatch.setattr(arith, "_steps", {})
+    calls = []
+    real = arith._inverses_mod
+
+    def slow(step, primes):
+        calls.append(step)
+        time.sleep(0.02)
+        return real(step, primes)
+
+    monkeypatch.setattr(arith, "_inverses_mod", slow)
+    primes = arith._base_primes(30_000)
+    steps = [3, 1000] * 16
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda s: arith._step_inverses(s, primes), steps, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for step, inverses in zip(steps, got):
+        assert inverses.tolist() == _pow_inverses(step, primes), step
+    assert sorted(calls) == [3, 1000]
+
+
+def test_step_cache_holds_the_last_two_steps(monkeypatch):
+    monkeypatch.setattr(arith, "_steps", {})
+    for step in (2, 3, 5, 3, 7):
+        build_table(10**6 + 1, 10**6 + 200 * step, Kind.SIGMA, step=step)
+        assert len(arith._steps) <= arith._STEPS == 2
+    assert list(arith._steps) == [3, 7]  # oldest first
+    # unit-step walks read the wheel itself and leave the cache alone
+    build_table(10**6, 10**6 + 10**5, Kind.PHI)
+    assert list(arith._steps) == [3, 7]
+    # what a step holds: inverses for the primes its walks asked for, and one wheel period
+    entry = arith._steps[7]
+    assert entry.inverses.size == arith._base_primes(isqrt(10**6 + 1400)).size
+    assert entry.patterns.size == WHEEL
+
+
+@pytest.mark.parametrize("step", [2, 3, 35, 49, 210, 2 * WHEEL + 6, WHEEL, 1009])
+def test_step_patterns_serve_every_progression(step, monkeypatch):
+    monkeypatch.setattr(arith, "_steps", {})
+    wheel = arith._wheel_powers()
+    for lo in (1, 2, step - 1, step, 10**9 + 7, 3 * WHEEL + 5, 2**47 + 1):
+        if lo < 1:
+            continue
+        anchor, powers = arith._pattern(lo, step)
+        assert (lo - anchor) % step == 0 and powers.size == WHEEL // gcd(step, WHEEL)
+        for k in range(0, 3 * powers.size, max(1, powers.size // 7)):
+            assert powers[k % powers.size] == wheel[(anchor + k * step) % WHEEL], (lo, k)

@@ -41,9 +41,11 @@ def test_search_csv_golden(capsys):
     assert manifest["command"] == "search"
     assert manifest["rows"] == 8
     assert manifest["params"]["max"] == 500
-    assert set(manifest["stats"]) == {"peak_rss_mib"}
+    assert set(manifest["stats"]) == {"peak_rss_mib", "minor_faults"}
     # this process holds numpy and a sieved table: tens of MiB, not KiB or GiB
     assert 1 < manifest["stats"]["peak_rss_mib"] < 4096
+    # and has faulted in at least those pages
+    assert manifest["stats"]["minor_faults"] > 256
 
 
 @pytest.mark.parametrize("platform,maxrss", [("linux", 48 * 1024), ("darwin", 48 * 2**20)])
@@ -52,12 +54,13 @@ def test_manifest_peak_rss_in_mib(capsys, monkeypatch, platform, maxrss):
 
     class Usage:
         ru_maxrss = maxrss
+        ru_minflt = 1234
 
     monkeypatch.setattr(resource, "getrusage", lambda who: Usage)
     monkeypatch.setattr(sys, "platform", platform)
     code, _, err = invoke(["search", *EQ_PHI1, "--max", "50"], capsys)
     assert code == 0
-    assert manifest_of(err)["stats"] == {"peak_rss_mib": 48.0}
+    assert manifest_of(err)["stats"] == {"peak_rss_mib": 48.0, "minor_faults": 1234}
 
 
 # sha256 of the stdout of the benchmark's search-shift smoke workload, as
@@ -320,10 +323,11 @@ def test_bulk_ranges_refused_exit_2(capsys):
 
 
 def test_large_multiplier_search_refused_exit_2(capsys, monkeypatch):
-    # inside the 10**10 range limit, but each block of 2**20 / 1000 values of n
-    # loops over the ~2 * 10**5 base primes below sqrt(10**13), and at unit
-    # multipliers each block of 2**20 values near 10**12 over the ~7.8 * 10**4
-    # below 10**6, about 0.3 s a table: refused before any table is built
+    # inside the 10**10 range limit, but the work cap counts the ~2 * 10**5 base
+    # primes below sqrt(10**13) for each block of 2**20 / 1000 values of n, and
+    # at unit multipliers the ~7.8 * 10**4 below 10**6 for each block of 2**20
+    # values near 10**12: some 11 hours and 10 minutes of sieving (about 4 ms a
+    # block near n = 10**10, and 0.05 s a table): refused before any table is built
     monkeypatch.setattr(arith, "build_table", lambda *a, **k: pytest.fail("build_table ran"))
     for a1, b2 in ((1000, 1), (1, 10**12)):
         eq = ["--fn", "phi", "--a1", str(a1), "--b1", "0", "--a2", "1", "--b2", str(b2)]

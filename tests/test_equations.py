@@ -1,5 +1,11 @@
+import gc
+import sys
+import threading
+import time
+import weakref
 from math import isqrt
 
+import numpy as np
 import pytest
 
 import brute
@@ -141,9 +147,9 @@ def test_search_validation():
     # the block map refuses any range of more than 10**10 integers
     with pytest.raises(CapacityError):
         search(PHI_PLUS_1, 10**10 + 1)
-    assert _map_blocks(lambda block: [], 1, 10**10, 1 << 20, 1) == []
+    assert _map_blocks(lambda block, scratch: [], 1, 10**10, 1 << 20, 1) == []
     with pytest.raises(CapacityError):
-        _map_blocks(lambda block: [], 0, 10**10, 1 << 20, 1)
+        _map_blocks(lambda block, scratch: [], 0, 10**10, 1 << 20, 1)
 
 
 # a1 == a2 == a with both signs of d = b2 - b1 and a | d (one table per block
@@ -221,9 +227,9 @@ def test_tables_per_block(monkeypatch, coeffs, block_size, tables):
     calls = []
     real = arith.build_table
 
-    def build_table(lo, hi, kind, step=1):
+    def build_table(lo, hi, kind, step=1, **internal):  # search passes its worker's scratch
         calls.append((lo, hi, step))
-        return real(lo, hi, kind, step)
+        return real(lo, hi, kind, step, **internal)
 
     monkeypatch.setattr(arith, "build_table", build_table)
     spec = EquationSpec(Kind.SIGMA, *coeffs)
@@ -243,7 +249,7 @@ def test_work_limit():
     blocks = -(-arith._SIEVE_LIMIT // arith.DEFAULT_SEGMENT)
     primes = arith._simple_primes(isqrt(2 * arith._SIEVE_LIMIT)).size
     assert arith._WORK_LIMIT == 2 * blocks * primes
-    # ~4 * 10**12 base-prime loops (weeks of sieving), refused before any sieve
+    # ~4 * 10**12 base primes counted (some 11 hours of sieving), refused before any sieve
     with pytest.raises(CapacityError, match="base primes"):
         search(EquationSpec(Kind.PHI, 1000, 0, 1, 1), 10**10)
     # the benchmark's searches, and every unit shift up to 10**10 at the range
@@ -288,3 +294,73 @@ def test_table_cap_checked_before_base_primes(monkeypatch, coeffs, xmax):
     monkeypatch.setattr(arith, "_simple_primes", lambda n: pytest.fail("_simple_primes ran"))
     with pytest.raises(CapacityError, match="table capacity"):
         search(EquationSpec(Kind.SIGMA, *coeffs), xmax)
+
+
+def test_tables_never_alias():
+    # build_table returns a fresh array every call; only search's workers reuse buffers
+    for step in (1, 3):
+        first = arith.build_table(10**6, 10**6 + 5000, Kind.PHI, step=step)
+        second = arith.build_table(10**6, 10**6 + 5000, Kind.PHI, step=step)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
+    with pytest.raises(UsageError):  # out must fit the table exactly
+        arith.build_table(1, 100, Kind.PHI, out=np.empty(99, dtype=np.uint64))
+
+
+def test_each_worker_keeps_one_scratch():
+    # one scratch per worker thread for all of its blocks, and none outlives the call
+    seen = []
+
+    def scan(block, scratch):
+        seen.append((threading.get_ident(), scratch))
+        time.sleep(0.001)
+        return [block[0]]
+
+    for threads in (1, 2, 3):
+        seen.clear()
+        assert _map_blocks(scan, 1, 1000, 10, threads) == list(range(1, 1001, 10))
+        by_thread = {}
+        for ident, scratch in seen:
+            assert by_thread.setdefault(ident, scratch) is scratch, threads
+        scratches = {id(s) for s in by_thread.values()}
+        assert len(scratches) == len(by_thread) <= threads, threads
+        refs = [weakref.ref(s) for s in by_thread.values()]
+        seen.clear()
+        del by_thread, scratch
+        gc.collect()
+        assert all(ref() is None for ref in refs), threads
+
+
+# affine (two tables a block), and stepped on one progression (one table) and not (two)
+REUSED = [(2, 1, 3, 1), (2, 11, 2, 1), (2, 0, 2, 3), (3, 2, 3, 14)]
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("coeffs", REUSED)
+def test_reused_buffers_keep_records_exact(kind, coeffs):
+    spec = EquationSpec(kind, *coeffs)
+    want = brute.solutions(kind.value, *coeffs, 3000)
+    whole = search(spec, 3000)
+    assert [r.n for r in whole] == want
+    # block sizes whose last block is shorter than the first, which sized the buffers,
+    # or shorter than the halo (two tables where the others took one)
+    for block_size in (700, 1000, 2999, 3):
+        for threads in (1, 2):
+            assert search(spec, 3000, threads, block_size) == whole, (block_size, threads)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+def test_search_faults_in_its_buffers_once():
+    # Every block used to allocate its two tables (2.8 MB each) and glibc trimmed them
+    # off the heap after it, so each block faulted them back in: ~11,500 minor page
+    # faults per search.  Now the first search maps its buffers, the next keeps them
+    # on the heap, and from then on a search reuses that memory.
+    import resource
+
+    spec = EquationSpec(Kind.PHI, 2, 1, 3, 1)
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        search(spec, 2 * 10**6)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert faults[-1] < 1000, faults
