@@ -150,7 +150,8 @@ def _step_inverses(step: int, primes: np.ndarray) -> np.ndarray:
 # Up-front limits, so that a request which would exhaust memory or sieve for
 # days is refused with CapacityError instead.  _MEMORY_BUDGET caps, in bytes,
 # the 8 B per entry table that build_table or largest_factor_table allocates
-# and the 1 B per entry y-smooth table of the sigma and phi smooth counters.
+# and the y-smooth table of the sigma and phi smooth counters, 1 B per odd
+# number up to x + 1.
 # _SIEVE_LIMIT caps how many integers one block map or one smooth counter
 # walks: ~3-6 min for psi (2**20 integers of psi took 0.014 s near 10**9 and
 # 0.019 s near 10**10 at y = 100, 0.033 s and 0.037 s at y = 10**5) and
@@ -386,12 +387,13 @@ def _unit_span(halo: int) -> int:
     One segment per table was tried when every block allocated its own
     table: glibc trimmed the heap after each block and the next block
     faulted it back in (~15,900 minor page faults per search of f(n) =
-    f(n + 1) to 2 * 10**6 for both functions, against ~24).  Now that a
-    search's workers reuse their buffers from block to block, one segment
-    per table faults almost only at each search's first block (~2,500 per
-    pair of searches, against ~1 at two segments) and ran 72 against 77-81
-    ms per pair (medians of 10 pairs in one process, 2-vCPU Xeon); the span
-    stays two segments until the benchmark measures the difference.
+    f(n + 1) to 2 * 10**6 for both functions, against ~24).  With a
+    search's workers reusing their buffers from block to block it is still
+    slower: repeating that pair of searches (with --classify, through the
+    CLI) for 5 s in a fresh process, after a warm-up at 2 * 10**4, took
+    54.6-56.2 ms per pair at one segment against 52.8-53.5 ms at two, and
+    faulted 2,456 pages per pair against none after the first pair (medians
+    of 89-95 pairs, 3 alternating processes each, 2-vCPU Xeon).
     """
     return max(1, 2 * _segment() - halo)
 

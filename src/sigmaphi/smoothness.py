@@ -1,8 +1,12 @@
 """Exact smooth-number counters plus leading-order bound evaluators.
 
-The counters are exact.  The bound evaluators drop every o(.) and
-(1+o(1)) factor from the displayed asymptotics, so they are reporting aids,
-not certified inequalities.
+The counters are exact.  psi and the sigma/phi smooth counts are one count
+(_count) of a multiplicative indicator g on the arith kernel: n counts iff
+every p**e || n passes the counter's rule.  Each n is 2**a * m with m odd and
+g(n) = g(2**a) * g(m), so the kernel sieves only the odd m <= x, and every
+2**a <= x that passes adds the odd m <= x >> a that pass.  The bound
+evaluators drop every o(.) and (1+o(1)) factor from the displayed
+asymptotics, so they are reporting aids, not certified inequalities.
 """
 
 from __future__ import annotations
@@ -37,29 +41,46 @@ def _check_xy(x: int, y) -> None:
 
 
 def _segments(x: int, local, bound: int | None = None):
-    """Yield (lo, mask) with mask[i] = (g(lo + i) != 0) for 1 <= lo + i <= x, one kernel
-    segment at a time, g multiplicative with g(p**e) = local(p**e, p).  The next segment
-    overwrites mask.  The kernel sieves the wheel primes 2, 3, 5, 7 and the primes
-    <= min(bound, isqrt(x)), and hands it the rest of each n as one cofactor, which bound
-    is for the caller to make exact.  The walk (its wheel and primes) and the kernel's
-    scratch are built once, for every segment.
+    """Yield (j, mask) with mask[i] = (g(m) != 0) at the odd m = 2*(j + i) + 1 <= x, one
+    kernel segment at a time, g multiplicative with g(p**e) = local(p**e, p).  The odd m
+    are one step-2 walk from 1, so mask covers the odd-index range [j, j + mask.size) of
+    the (x + 1) // 2 odd m <= x; the next segment overwrites it.  The kernel sieves the
+    wheel primes 3, 5, 7 (2 divides no term) and the primes <= min(bound, isqrt(x)), and
+    hands it the rest of each m as one cofactor, which bound is for the caller to make
+    exact.  The walk (its wheel, primes and inverses of 2) and the kernel's scratch are
+    built once, for every segment.
     """
     top = math.isqrt(x) if bound is None else min(bound, math.isqrt(x))
-    walk = arith._walk(1, 1, x, arith._wheel_lookup(local), arith._base_primes(top))
+    size = (x + 1) // 2
+    walk = arith._walk(1, 2, size, arith._wheel_lookup(local), arith._base_primes(top))
     buffer, scratch = np.empty(arith._segment(), dtype=bool), arith._Scratch()
-    for lo in range(1, x + 1, buffer.size):
-        out = buffer[: x - lo + 1]
-        arith._sieve_segment(lo, local, walk, out, scratch)
-        yield lo, out
+    for j in range(0, size, buffer.size):
+        out = buffer[: size - j]
+        arith._sieve_segment(2 * j + 1, local, walk, out, scratch, step=2)
+        yield j, out
 
 
 def _count(x: int, local, bound: int | None = None) -> int:
     """Count of n <= x with g(n) != 0, for the multiplicative g with g(p**e) = local(p**e, p).
 
-    For multiplicative f, f(n) is y-smooth iff f(p**e) is for every p**e || n.  bound caps
-    the base primes, as in _segments.
+    For multiplicative f, f(n) is y-smooth iff f(p**e) is for every p**e || n.  Each n is
+    2**a * m with m odd in exactly one way, g(n) = g(2**a) * g(m), and 2**a * m <= x iff
+    m <= x >> a, so the count is the sum, over the 2**a <= x with g(2**a) != 0, of the odd
+    m <= x >> a that pass.  Those m are the first ((x >> a) + 1) // 2 terms of the odd walk
+    (_segments), a prefix whose count is read in the segment where it ends: every term is
+    sieved once, whatever the number of prefixes.  g(2**a) comes from the rule itself, with
+    the rule's exact paths (2 > y for psi, sigma(2**a) > x + 1).  bound caps the base
+    primes, as in _segments.
     """
-    return sum(int(np.count_nonzero(mask)) for _, mask in _segments(x, local, bound))
+    powers = np.left_shift(np.uint64(1), np.arange(1, x.bit_length(), dtype=np.uint64))
+    passes = [True, *local(powers, np.full_like(powers, 2)).tolist()]
+    ends = sorted(((x >> a) + 1) // 2 for a, ok in enumerate(passes) if ok)
+    total = before = 0
+    for j, mask in _segments(x, local, bound):
+        for end in ends[bisect_right(ends, j) : bisect_right(ends, j + mask.size)]:
+            total += before + int(np.count_nonzero(mask[: end - j]))
+        before += int(np.count_nonzero(mask))
+    return total
 
 
 def _psi_rule(y):
@@ -110,29 +131,47 @@ def count_S(x: int, y) -> int:
 
 
 def _smooth_table(limit: int, y) -> np.ndarray:
-    """bool array t with t[m] = (m is y-smooth) for 1 <= m <= limit; t[0] is unset."""
-    table = np.empty(limit + 1, dtype=bool)
-    for lo, mask in _segments(limit, _psi_rule(y), int(y)):
-        table[lo : lo + mask.size] = mask
+    """bool array t with t[i] = (2*i + 1 is y-smooth) for the (limit + 1) // 2 odd numbers
+    <= limit, (limit + 1) // 2 bytes, from the odd walk of psi's rule (_segments).  At
+    y >= 2 the prime 2 is y-smooth, so a number is y-smooth iff its odd part is, and the
+    table answers for the even numbers <= limit too (_smooth_lookup).
+    """
+    table = np.empty((limit + 1) // 2, dtype=bool)
+    for j, mask in _segments(limit, _psi_rule(y), int(y)):
+        table[j : j + mask.size] = mask
     return table
+
+
+def _smooth_lookup(table: np.ndarray, y, values: np.ndarray) -> np.ndarray:
+    """Whether each of the uint64 values, 1 <= v <= limit, is y-smooth, from the table
+    _smooth_table(limit, y): at y >= 2, its odd part v // (v & -v) looked up at index
+    odd // 2.  Below 2 only v = 1 is y-smooth, though every power of 2 has odd part 1.
+    """
+    if y < 2:
+        return values == 1
+    odd = values // (values & -values)
+    odd >>= np.uint64(1)
+    return table.take(odd.view(np.int64))  # an index, below 2**63
 
 
 def _f_smooth_count(kind: arith.Kind, x: int, y) -> int:
     """Count of n <= x with f(n) y-smooth, f = sigma or phi.
 
-    f(p**e) is looked up in a y-smooth table of 0..x+1 when it is at most x+1, which holds
-    for f(q) = q +- 1 at every prime q <= x; the few sigma(p**e) above it are tested exactly.
+    f(p**e) is looked up in the odd-only y-smooth table of 1..x+1 when it is at most x+1,
+    which holds for f(q) = q +- 1 at every prime q <= x; the few sigma(p**e) above it are
+    tested exactly.
     """
     _check_xy(x, y)
-    arith._check_bytes(x + 2)
+    arith._check_bytes((x + 2) // 2)  # the table's bytes, one per odd number <= x + 1
     smooth = _smooth_table(x + 1, y)
 
     def local(pe, p=None):
         values = kind.local(pe, p)
-        if p is None or values.max() <= x + 1:  # f(q) = q +- 1 <= x + 1 at 1 and the primes q <= x
-            return smooth[values]
+        # f(q) = q +- 1 <= x + 1 at 1 and the primes q <= x
+        if p is None or values.max(initial=0) <= x + 1:
+            return _smooth_lookup(smooth, y, values)
         big = values > x + 1
-        out = smooth[np.where(big, 1, values)]
+        out = _smooth_lookup(smooth, y, np.where(big, np.uint64(1), values))
         out[big] = [arith.largest_prime_factor(int(v)) <= y for v in values[big]]
         return out
 

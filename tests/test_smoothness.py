@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -93,6 +94,73 @@ def test_counters_at_small_segments(monkeypatch):
             assert phi_smooth_count(x, y) == brute.phi_smooth_count(x, y), (seg, y)
             assert sigma_smooth_count(x, y) == brute.sigma_smooth_count(x, y), (seg, y)
         monkeypatch.undo()
+
+
+@functools.cache
+def _oracle_factors(xmax):
+    """(n, phi(n), sigma(n))'s largest prime factors at each n <= xmax, by trial division."""
+    return np.array(
+        [
+            [brute.largest_prime_factor(v) for v in (n, brute.phi_formula(n), brute.sigma(n))]
+            for n in range(1, xmax + 1)
+        ]
+    )
+
+
+def _oracle_counts(xmax, y):
+    """[psi, phi_smooth_count, sigma_smooth_count] at every x <= xmax (row x)."""
+    counts = np.cumsum(_oracle_factors(xmax) <= y, axis=0)
+    return [[0, 0, 0], *counts.tolist()]
+
+
+def test_counters_match_brute_at_every_small_x():
+    # each count sums, over the 2**a <= x that pass, the odd m <= x >> a that pass
+    for y in (1, 1.5, 2, 3, 10):
+        oracle = _oracle_counts(300, y)
+        for x in range(1, 301):
+            got = [psi(x, y), phi_smooth_count(x, y), sigma_smooth_count(x, y)]
+            assert got == oracle[x], (x, y)
+    for x in range(1, 301):
+        assert [psi(x, x + 2), phi_smooth_count(x, x + 2)] == [x, x], x
+        assert sigma_smooth_count(x, x + 2) == brute.sigma_smooth_count(x, x + 2), x
+
+
+@pytest.mark.parametrize("seg", [7, 28, 1 << 12])
+def test_split_thresholds_across_segments(monkeypatch, seg):
+    # the prefix of ((x >> a) + 1) // 2 odd m that each 2**a reads ends inside a segment,
+    # on a segment edge, or in a last, partial segment
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
+    size = arith._segment()
+    if size == 1:  # every prefix ends on an edge
+        xs, expected = range(1, 65), {"edge"}
+    else:
+        xs = [*range(2 * size - 3, 2 * size + 4), 4 * size, 4 * size + 3, 7 * size + 5]
+        expected = {"edge", "inside", "last"}
+    where = set()
+    for x in xs:
+        odd = (x + 1) // 2
+        for a in range(x.bit_length()):
+            end = ((x >> a) + 1) // 2
+            last = end > odd // size * size  # past the last whole segment
+            where.add("edge" if end % size == 0 else "last" if last else "inside")
+    assert where == expected
+    for y in (1, 1.5, 2, 3, 10):
+        oracle = _oracle_counts(max(xs), y)
+        for x in xs:
+            got = [psi(x, y), phi_smooth_count(x, y), sigma_smooth_count(x, y)]
+            assert got == oracle[x], (seg, x, y)
+
+
+@pytest.mark.parametrize("y", [1, 1.5, 2, 3, 10, 100])
+def test_smooth_lookup_by_odd_part(y):
+    # the odd-only table answers for every v <= x + 1, powers of 2 included; below y = 2
+    # only v = 1 is y-smooth, though every power of 2 has odd part 1
+    x = 1000
+    table = smoothness._smooth_table(x + 1, y)
+    assert table.size == (x + 2) // 2
+    values = np.arange(1, x + 2, dtype=np.uint64)
+    got = smoothness._smooth_lookup(table, y, values)
+    assert got.tolist() == [brute.largest_prime_factor(v) <= y for v in range(1, x + 2)]
 
 
 def _count_S_marks(x, y):
@@ -209,6 +277,7 @@ def test_smooth_counts_at_1e7():
     # the values of the largest_factor_table(2x) and (x) lookups these counters replaced
     assert sigma_smooth_count(10**7, 100) == 3826550
     assert phi_smooth_count(10**7, 100) == 3917490
+    assert psi(10**7, 100) == 269882
 
 
 def test_budgets_admit_target_sizes(monkeypatch):
@@ -216,10 +285,12 @@ def test_budgets_admit_target_sizes(monkeypatch):
     monkeypatch.setattr(smoothness, "_count", lambda x, local, bound=None: x)
     monkeypatch.setattr(smoothness, "_smooth_table", lambda limit, y: None)
     assert psi(10**9, 100) == 10**9
-    # sigma and phi hold one (x + 2)-byte y-smooth table, under the 1 GiB budget to 2**30 - 2
+    # sigma and phi hold one y-smooth table of the odd numbers up to x + 1, (x + 2) // 2
+    # bytes, under the 1 GiB budget to x = 2**31 - 1
     for counter in (phi_smooth_count, sigma_smooth_count):
         assert counter(10**9, 100) == 10**9
+        assert counter(2**31 - 1, 100) == 2**31 - 1
         with pytest.raises(CapacityError, match="budget"):
-            counter(2**30 - 1, 100)
+            counter(2**31, 100)
     # count_S is stubbed nowhere: it holds no O(x) array (a segmented mark sieve agrees)
     assert count_S(10**10, 100) == 522956440
