@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import enum
 import threading
-from functools import cache
+from collections.abc import Callable
+from functools import cache, lru_cache
 from itertools import count, product
 from math import gcd, isqrt, prod
 from typing import NamedTuple
@@ -57,25 +58,26 @@ _base_lock = threading.Lock()
 
 
 class _Step:
-    """One step's entry in _steps, its arrays read-only: inverses[i] is step⁻¹
-    mod the i-th prime, or 0 where it divides step, replaced when extended;
-    patterns, None until a walk needs it, holds the wheel's pattern along
-    every progression at step (see _pattern).
+    """What walks at one step > 1 share, its arrays read-only, so that a
+    search's blocks, on any thread, build them once: patterns holds the
+    wheel's pattern along every progression at step (176 KB; see _pattern),
+    built with the _Step, and inverses[i] step⁻¹ mod the i-th prime from 2,
+    or 0 where it divides step, for as many primes as walks have asked for
+    (8.6 MB for the pi(2**24) primes of a table at 2**48), replaced when
+    extended (_step_inverses).  Got through _step under _base_lock.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, step: int) -> None:
         self.inverses = np.zeros(0, dtype=np.int64)
-        self.patterns: np.ndarray | None = None
+        g = gcd(step, _WHEEL_PERIOD)
+        index = np.arange(g)[:, None] + step % _WHEEL_PERIOD * np.arange(_WHEEL_PERIOD // g)
+        self.patterns = _wheel_powers()[index % _WHEEL_PERIOD]
+        self.patterns.flags.writeable = False  # walks on other threads share it
 
 
-# What walks at one step > 1 share, by step, for the _STEPS steps walked last
-# (a search walks at most two, a1 and a2), oldest first: step⁻¹ mod the
-# ascending primes from 2, as many as walks have asked for (8.6 MB per step
-# for the pi(2**24) primes of a table at 2**48), and the wheel's patterns
-# (176 KB per step).  Read and grown under _base_lock, so that a search's
-# blocks, on any thread, build each once.
-_STEPS = 2
-_steps: dict[int, _Step] = {}
+# The _Step of each of the two steps walked last: a search walks at most two,
+# a1 and a2.
+_step = lru_cache(maxsize=2)(_Step)
 
 
 def _base_primes(limit: int) -> np.ndarray:
@@ -93,17 +95,6 @@ def _base_primes(limit: int) -> np.ndarray:
             primes.flags.writeable = False  # callers share it
             _base = (bound, primes)
     return primes[: np.searchsorted(primes, limit, side="right")]
-
-
-def _step_entry(step: int) -> _Step:
-    """step's entry in _steps, made newest, dropping the oldest past _STEPS.
-    The caller holds _base_lock.
-    """
-    entry = _steps.pop(step, None) or _Step()
-    _steps[step] = entry
-    while len(_steps) > _STEPS:
-        del _steps[next(iter(_steps))]
-    return entry
 
 
 def _inverses_mod(step: int, primes: np.ndarray) -> np.ndarray:
@@ -138,7 +129,7 @@ def _step_inverses(step: int, primes: np.ndarray) -> np.ndarray:
     view of step's cached array, extended by _inverses_mod when shorter.
     """
     with _base_lock:
-        entry = _step_entry(step)
+        entry = _step(step)
         have = entry.inverses.size
         if have < primes.size:
             inverses = np.concatenate((entry.inverses, _inverses_mod(step, primes[have:])))
@@ -153,10 +144,11 @@ def _step_inverses(step: int, primes: np.ndarray) -> np.ndarray:
 # and the y-smooth table of the sigma and phi smooth counters, 1 B per odd
 # number up to x + 1.
 # _SIEVE_LIMIT caps how many integers one block map or one smooth counter
-# walks: ~3-6 min for psi (2**20 integers of psi took 0.014 s near 10**9 and
-# 0.019 s near 10**10 at y = 100, 0.033 s and 0.037 s at y = 10**5) and
-# ~8 min for a one-table sigma search (9537 tables of 2**20 entries, 0.043 s
-# each near 10**8 and 0.052 s near 10**10), in one process on a 2-vCPU Xeon.
+# walks: ~0.3-1 min for psi, which sieves only the odd m (psi(10**8, 100)
+# took 0.19 s and psi(10**8, 10**5) 0.52 s), and ~3.5 min for a one-table
+# sigma search, in 19,074 blocks of 2**19 - 1 values of n (sigma(n) =
+# sigma(n + 1) over 2**22 n near 10**10 took 0.086 s), in one process on a
+# 2-vCPU Xeon (medians of 3).
 # _WORK_LIMIT caps a search's sieve work, counted as the base primes of its
 # tables, summed over tables and over units of 2**20 / a values of n (not
 # blocks, which unit shifts make shorter): a two-table unit search over
@@ -165,10 +157,10 @@ def _step_inverses(step: int, primes: np.ndarray) -> np.ndarray:
 # primes: at every step the kernel loops only over the primes from 11 below
 # 2**8, copies 2, 3, 5 and 7 from its wheel and applies every larger prime
 # by its hits, all at once, so the count overstates the work: one
-# 2**20-entry phi table took 0.030 s near 10**8, 0.038 s near 10**10,
-# 0.052 s near 10**12 and 0.084 s near 10**14 on that Xeon (medians of 5;
-# 2-3x drift by day).  The cap stays a count of base primes, which bounds
-# that vectorised work loosely at every step.
+# 2**20-entry phi table took 0.020 s near 10**10, 0.027 s near 10**12 and
+# 0.037 s near 10**14 on that Xeon (medians of 5; 2-3x drift by day).  The
+# cap stays a count of base primes, which bounds that vectorised work
+# loosely at every step.
 _MEMORY_BUDGET = 1 << 30
 _SIEVE_LIMIT = 10**10
 _WORK_LIMIT = 2 * -(-_SIEVE_LIMIT // DEFAULT_SEGMENT) * _simple_primes(isqrt(2 * _SIEVE_LIMIT)).size
@@ -380,24 +372,6 @@ def _segment() -> int:
     return max(1, DEFAULT_SEGMENT >> 2)
 
 
-def _unit_span(halo: int) -> int:
-    """Values per block of a unit-step table that reaches halo entries past its
-    block, so that the table is two whole kernel segments (at least 1 value).
-
-    One segment per table was tried when every block allocated its own
-    table: glibc trimmed the heap after each block and the next block
-    faulted it back in (~15,900 minor page faults per search of f(n) =
-    f(n + 1) to 2 * 10**6 for both functions, against ~24).  With a
-    search's workers reusing their buffers from block to block it is still
-    slower: repeating that pair of searches (with --classify, through the
-    CLI) for 5 s in a fresh process, after a warm-up at 2 * 10**4, took
-    54.6-56.2 ms per pair at one segment against 52.8-53.5 ms at two, and
-    faulted 2,456 pages per pair against none after the first pair (medians
-    of 89-95 pairs, 3 alternating processes each, 2-vCPU Xeon).
-    """
-    return max(1, 2 * _segment() - halo)
-
-
 def _runs(starts: np.ndarray, strides: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """starts[i] + k*strides[i] for k < counts[i] (each >= 1), run after run, as one array.
 
@@ -448,8 +422,8 @@ def _pattern(lo: int, step: int) -> tuple[int, np.ndarray]:
     k*step) mod _WHEEL_PERIOD], serves every lo with that residue: anchor is
     the term lo - k0*step that is c mod _WHEEL_PERIOD.  At step 1 it is the
     wheel's own pattern.  At any other step the g patterns, one period of
-    the wheel in all, are built together on the step's first walk and kept
-    in _steps, as rows of a g x m array.
+    the wheel in all, are the rows of the g x m array _step(step).patterns,
+    built together on the step's first walk.
     """
     g = gcd(step, _WHEEL_PERIOD)
     c, m = lo % g, _WHEEL_PERIOD // g
@@ -457,12 +431,7 @@ def _pattern(lo: int, step: int) -> tuple[int, np.ndarray]:
     if step == 1:
         return anchor, _wheel_powers()
     with _base_lock:
-        entry = _step_entry(step)
-        if entry.patterns is None:
-            index = np.arange(g)[:, None] + step % _WHEEL_PERIOD * np.arange(m)
-            entry.patterns = _wheel_powers()[index % _WHEEL_PERIOD]
-            entry.patterns.flags.writeable = False  # walks on other threads share it
-        return anchor, entry.patterns[c]
+        return anchor, _step(step).patterns[c]
 
 
 # Each row of _WHEEL_ROWS is one set of the wheel's p**v with v < top, 24 in
@@ -500,7 +469,8 @@ def _kind_lookup(kind: Kind) -> np.ndarray:
 
 
 class _Walk(NamedTuple):
-    """What every segment of one walk lo, lo + step, ... reads, built once.
+    """What every segment of one walk lo, lo + step, ... under the rule local
+    reads, built once.
 
     At the walk's term j, read at j mod powers.size, powers holds the product
     of the wheel primes' p**v with v < top exactly dividing the term, and
@@ -512,15 +482,17 @@ class _Walk(NamedTuple):
     """
 
     lo: int
+    step: int
+    local: Callable
     powers: np.ndarray
     values: np.ndarray
     rows: np.ndarray
     deep: tuple
 
 
-def _walk(lo: int, step: int, size: int, lookup: np.ndarray, primes: np.ndarray) -> _Walk:
+def _walk(lo: int, step: int, size: int, local, lookup: np.ndarray, primes: np.ndarray) -> _Walk:
     """The _Walk of the size terms lo, lo + step, ... with the ascending base
-    primes primes from 2 (a _base_primes result), under the rule whose
+    primes primes from 2 (a _base_primes result), under the rule local, whose
     _wheel_lookup is lookup.
 
     Of the primes from 11 it keeps those with a multiple in [lo, hi].  It
@@ -543,7 +515,7 @@ def _walk(lo: int, step: int, size: int, lookup: np.ndarray, primes: np.ndarray)
     if size < powers.size:  # a walk shorter than a period reads only its own terms
         powers = np.take(powers, np.arange(size) + (lo - anchor) // step, mode="wrap")
         anchor = lo
-    return _Walk(anchor, powers, np.take(lookup, powers), rows, deep)
+    return _Walk(anchor, step, local, powers, np.take(lookup, powers), rows, deep)
 
 
 def _first_hits(x, rows: np.ndarray) -> np.ndarray:
@@ -675,20 +647,17 @@ class _Scratch:
         return self._offsets[1][:size]
 
 
-def _sieve_segment(
-    lo: int, local, walk: _Walk, out: np.ndarray, scratch: _Scratch, step: int = 1
-) -> None:
-    """Write g(lo + step*j) for j in [0, out.size) into out, g multiplicative.
+def _sieve_segment(lo: int, walk: _Walk, out: np.ndarray, scratch: _Scratch) -> None:
+    """Write g(lo + step*j) for j in [0, out.size) into out, g multiplicative,
+    lo being a term of walk, which holds step and the caller's rule local.
 
-    local is the caller's rule: local(pe, p) is g at the uint64 array pe of
-    powers of the prime p, or of the primes in the uint64 array p shaped like
-    pe, and local(q) is g at the uint64 array q of 1s and primes, so that
-    local(p) == local(p, p) at every prime p.  walk is the _Walk, under the
-    same rule, of the progression the segment lies on, and scratch the
-    _Scratch its scratch comes from.  The kernel takes its primes up to
-    sqrt(hi).  They go in by size, in three tiers, the same at every step,
-    each multiplying p**v into factored (the product of the prime powers
-    found so far) and g(p**v) into out:
+    local(pe, p) is g at the uint64 array pe of powers of the prime p, or of
+    the primes in the uint64 array p shaped like pe, and local(q) is g at the
+    uint64 array q of 1s and primes, so that local(p) == local(p, p) at every
+    prime p.  scratch is the _Scratch the kernel's scratch comes from.  The
+    kernel takes its primes up to sqrt(hi).  They go in by size, in three
+    tiers, the same at every step, each multiplying p**v into factored (the
+    product of the prime powers found so far) and g(p**v) into out:
 
     - Wheel: 2, 3, 5 and 7 come from copying the wheel into factored and
       out.  The pattern leaves 1 at the terms p**top divides, which alone
@@ -704,7 +673,7 @@ def _sieve_segment(
     (_first_hits).  The cofactor q = term / factored left after them is 1 or
     a single prime and contributes local(q).
     """
-    size = out.size
+    size, step, local = out.size, walk.step, walk.local
     hi = lo + step * (size - 1)
     # the product of the p**e found so far divides its term, so below 2**32 it fits in 4 bytes
     factored = scratch.array("factored", size, np.uint32 if hi < 1 << 32 else np.uint64)
@@ -806,10 +775,10 @@ def build_table(
     # any step past hi - lo gives the one term lo; one below 2**48 keeps the kernel's
     # int64 products exact
     step = min(step, hi - lo + 1)
-    walk = _walk(lo, step, out.size, _kind_lookup(kind), _base_primes(isqrt(hi)))
+    walk = _walk(lo, step, out.size, kind.local, _kind_lookup(kind), _base_primes(isqrt(hi)))
     segment = _segment()
     for i in range(0, out.size, segment):
-        _sieve_segment(lo + i * step, kind.local, walk, out[i : i + segment], scratch, step)
+        _sieve_segment(lo + i * step, walk, out[i : i + segment], scratch)
     return out
 
 

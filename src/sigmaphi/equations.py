@@ -182,6 +182,24 @@ def _check_work(spec: EquationSpec, lo: int, hi: int, span: int) -> None:
         )
 
 
+def _unit_span(halo: int) -> int:
+    """Values per block of a unit-step table that reaches halo entries past its
+    block, so that the table is two whole kernel segments (at least 1 value).
+
+    One segment per table was tried when every block allocated its own
+    table: glibc trimmed the heap after each block and the next block
+    faulted it back in (~15,900 minor page faults per search of f(n) =
+    f(n + 1) to 2 * 10**6 for both functions, against ~24).  With a
+    search's workers reusing their buffers from block to block it is still
+    slower: repeating that pair of searches (with --classify, through the
+    CLI) for 5 s in a fresh process, after a warm-up at 2 * 10**4, took
+    54.6-56.2 ms per pair at one segment against 52.8-53.5 ms at two, and
+    faulted 2,456 pages per pair against none after the first pair (medians
+    of 89-95 pairs, 3 alternating processes each, 2-vCPU Xeon).
+    """
+    return max(1, 2 * arith._segment() - halo)
+
+
 def search(
     spec: EquationSpec, xmax: int, threads: int = 1, block_size: int | None = None
 ) -> list[SolutionRecord]:
@@ -212,5 +230,5 @@ def search(
         # longer halos sieve more per n in them than in 2**20-value blocks
         # (phi(n) = phi(n + 2**18 - 1) to 4 * 10**6: 0.17 -> 0.26 s, 2-vCPU Xeon)
         unit = spec.a1 == spec.a2 == 1 and h < arith._segment() >> 2
-        block_size = arith._unit_span(h) if unit else span
+        block_size = _unit_span(h) if unit else span
     return _map_blocks(partial(_scan_block, spec), lo, xmax, block_size, threads)

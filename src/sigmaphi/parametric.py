@@ -22,7 +22,7 @@ from math import gcd
 import numpy as np
 
 from . import arith
-from .equations import EquationSpec, Kind, _map_blocks, search
+from .equations import EquationSpec, Kind, _map_blocks, _unit_span, search
 from .errors import CapacityError, IntegrityError, UsageError
 
 
@@ -273,4 +273,4 @@ def consecutive_multiperfect_search(xmax: int, threads: int = 1) -> list[int]:
         both = divisible[:-1] & divisible[1:]
         return [lo + int(i) for i in np.nonzero(both)[0]]
 
-    return _map_blocks(scan, 1, xmax, arith._unit_span(1), threads)
+    return _map_blocks(scan, 1, xmax, _unit_span(1), threads)

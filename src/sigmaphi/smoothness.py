@@ -52,11 +52,11 @@ def _segments(x: int, local, bound: int | None = None):
     """
     top = math.isqrt(x) if bound is None else min(bound, math.isqrt(x))
     size = (x + 1) // 2
-    walk = arith._walk(1, 2, size, arith._wheel_lookup(local), arith._base_primes(top))
+    walk = arith._walk(1, 2, size, local, arith._wheel_lookup(local), arith._base_primes(top))
     buffer, scratch = np.empty(arith._segment(), dtype=bool), arith._Scratch()
     for j in range(0, size, buffer.size):
         out = buffer[: size - j]
-        arith._sieve_segment(2 * j + 1, local, walk, out, scratch, step=2)
+        arith._sieve_segment(2 * j + 1, walk, out, scratch)
         yield j, out
 
 

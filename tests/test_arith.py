@@ -1,7 +1,9 @@
+import gc
 import random
 import sys
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from math import gcd, isqrt, prod
 
@@ -267,7 +269,8 @@ def test_wheel_pattern_and_values():
     psi3 = lambda pe, p=None: (pe if p is None else p) <= 3  # noqa: E731
     for lo, step, size, rule in ((5, 6, 1000, Kind.SIGMA.local), (10**9 + 1, 1, 500, psi3),
                                  (7, 1, 3 * WHEEL, psi3), (88199, 35, 5000, Kind.PHI.local)):
-        wheel = arith._walk(lo, step, size, arith._wheel_lookup(rule), arith._base_primes(0))
+        lookup = arith._wheel_lookup(rule)
+        wheel = arith._walk(lo, step, size, rule, lookup, arith._base_primes(0))
         assert (wheel.values.dtype == bool) == (rule is psi3) and wheel.values.itemsize <= 2
         for j in range(0, size, 97):
             n = lo + step * j
@@ -567,9 +570,19 @@ def _pow_inverses(step: int, primes) -> list[int]:
 INVERSE_STEPS = [2, 3, 8, 49, 210, 11, 13 * 17, 2 * 251, 257, 2 * 263, 3 * 1009, 65537, 2**40 + 15]
 
 
+@pytest.fixture
+def fresh_steps():
+    """An empty step cache for the test, and again after it, so that no test
+    sees another's steps.
+    """
+    arith._step.cache_clear()
+    yield
+    arith._step.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_steps")
 @pytest.mark.parametrize("step", INVERSE_STEPS)
-def test_step_inverses_match_pow(step, monkeypatch):
-    monkeypatch.setattr(arith, "_steps", {})
+def test_step_inverses_match_pow(step):
     primes = arith._base_primes(20_000)
     inverses = arith._step_inverses(step, primes)
     assert inverses.tolist() == _pow_inverses(step, primes)
@@ -580,17 +593,17 @@ def test_step_inverses_match_pow(step, monkeypatch):
     assert arith._inverses_mod(step, large).tolist() == _pow_inverses(step, large)
 
 
-def test_step_inverses_for_a_step_above_every_prime(monkeypatch):
-    monkeypatch.setattr(arith, "_steps", {})
+@pytest.mark.usefixtures("fresh_steps")
+def test_step_inverses_for_a_step_above_every_prime():
     primes = arith._base_primes(1000)
     for step in (10**12 + 39, 2**47 - 1, 1009 * 997 * 991):
         assert step > primes[-1]
         assert arith._step_inverses(step, primes).tolist() == _pow_inverses(step, primes)
 
 
+@pytest.mark.usefixtures("fresh_steps")
 def test_step_inverses_grow_with_the_base_primes(monkeypatch):
     monkeypatch.setattr(arith, "_base", (0, _simple_primes(0)))
-    monkeypatch.setattr(arith, "_steps", {})
     calls = []
     real = arith._inverses_mod
     monkeypatch.setattr(arith, "_inverses_mod", lambda s, p: calls.append(p.size) or real(s, p))
@@ -607,10 +620,10 @@ def test_step_inverses_grow_with_the_base_primes(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.usefixtures("fresh_steps")
 def test_step_inverses_under_threads(monkeypatch):
     # a slow Euclid and many threads: unlocked, a step would be built more than once,
     # or a lost update would leave a short or mixed cache
-    monkeypatch.setattr(arith, "_steps", {})
     calls = []
     real = arith._inverses_mod
 
@@ -634,24 +647,38 @@ def test_step_inverses_under_threads(monkeypatch):
     assert sorted(calls) == [3, 1000]
 
 
-def test_step_cache_holds_the_last_two_steps(monkeypatch):
-    monkeypatch.setattr(arith, "_steps", {})
+@pytest.mark.usefixtures("fresh_steps")
+def test_step_cache_holds_the_last_two_steps():
+    assert arith._step.cache_info().maxsize == 2
+    built = {}
     for step in (2, 3, 5, 3, 7):
         build_table(10**6 + 1, 10**6 + 200 * step, Kind.SIGMA, step=step)
-        assert len(arith._steps) <= arith._STEPS == 2
-    assert list(arith._steps) == [3, 7]  # oldest first
+        assert arith._step.cache_info().currsize <= 2
+        built.setdefault(step, weakref.ref(arith._step(step)))
+    # 3 and 7 are kept: each is the object its walks built, and asking for it
+    # again is a hit that builds nothing
+    info = arith._step.cache_info()
+    assert info.currsize == 2
+    kept = {step: arith._step(step) for step in (3, 7)}
+    assert arith._step.cache_info().misses == info.misses
+    assert all(kept[step] is built[step]() for step in (3, 7))
+    # the evicted steps are dropped, not held elsewhere
+    gc.collect()
+    assert built[2]() is None and built[5]() is None
     # unit-step walks read the wheel itself and leave the cache alone
+    info = arith._step.cache_info()
     build_table(10**6, 10**6 + 10**5, Kind.PHI)
-    assert list(arith._steps) == [3, 7]
+    assert arith._step.cache_info() == info
+    assert arith._step(3) is kept[3] and arith._step(7) is kept[7]
     # what a step holds: inverses for the primes its walks asked for, and one wheel period
-    entry = arith._steps[7]
+    entry = kept[7]
     assert entry.inverses.size == arith._base_primes(isqrt(10**6 + 1400)).size
     assert entry.patterns.size == WHEEL
 
 
+@pytest.mark.usefixtures("fresh_steps")
 @pytest.mark.parametrize("step", [2, 3, 35, 49, 210, 2 * WHEEL + 6, WHEEL, 1009])
-def test_step_patterns_serve_every_progression(step, monkeypatch):
-    monkeypatch.setattr(arith, "_steps", {})
+def test_step_patterns_serve_every_progression(step):
     wheel = arith._wheel_powers()
     for lo in (1, 2, step - 1, step, 10**9 + 7, 3 * WHEEL + 5, 2**47 + 1):
         if lo < 1:

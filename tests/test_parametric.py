@@ -18,6 +18,7 @@ from sigmaphi import (
     consecutive_multiperfect_search,
     derive_family,
     enumerate_families,
+    equations,
     generate,
     ghp_generate,
     parametric,
@@ -398,6 +399,36 @@ def test_multiperfect_search_blocks_match(monkeypatch):
     # the perfect number 6 at a block edge still gets its m+1 lookahead
     monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 6)
     assert consecutive_multiperfect_search(6) == []
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_multiperfect_search_finds_planted_pairs(threads, monkeypatch):
+    # no m <= 20000 qualifies, so a scan that always answers [] would pass the tests
+    # above: plant sigma-like values that make chosen m pass m | sigma(m), one pair
+    # ending a block (its m + 1 read from the lookahead), one starting a block, and a
+    # decoy whose m + 1 fails
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 64)
+    span = equations._unit_span(1)
+    last, first, decoy = 3 * span, 5 * span + 1, 7 * span + 10
+    planted = {last, last + 1, first, first + 1, decoy}
+    real = arith.build_table
+
+    def planting(lo, hi, kind, **kwargs):  # the scan's unit-step sigma tables
+        out = real(lo, hi, kind, **kwargs)
+        for m in planted:
+            if lo <= m <= hi:
+                out[m - lo] = 2 * m
+        return out
+
+    monkeypatch.setattr(arith, "build_table", planting)
+    xmax = 9 * span
+
+    def passes(m):
+        return m in planted or brute.sigma(m) % m == 0
+
+    expected = [m for m in range(1, xmax + 1) if passes(m) and passes(m + 1)]
+    assert expected == [last, first]
+    assert consecutive_multiperfect_search(xmax, threads=threads) == expected
 
 
 def test_block_map_validation_is_shared():
