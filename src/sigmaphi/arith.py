@@ -150,17 +150,18 @@ def _step_inverses(step: int, primes: np.ndarray) -> np.ndarray:
 # sigma(n + 1) over 2**22 n near 10**10 took 0.086 s), in one process on a
 # 2-vCPU Xeon (medians of 3).
 # _WORK_LIMIT caps a search's sieve work, counted as the base primes of its
-# tables, summed over tables and over units of 2**20 / a values of n (not
-# blocks, which unit shifts make shorter): a two-table unit search over
-# 10**10 n with arguments up to 2 * 10**10, 2 x ceil(10**10 / 2**20) units x
-# pi(isqrt(2 * 10**10)) primes, ~2.5 * 10**8.  No table loops over its base
-# primes: at every step the kernel loops only over the primes from 11 below
-# 2**8, copies 2, 3, 5 and 7 from its wheel and applies every larger prime
-# by its hits, all at once, so the count overstates the work: one
-# 2**20-entry phi table took 0.020 s near 10**10, 0.027 s near 10**12 and
-# 0.037 s near 10**14 on that Xeon (medians of 5; 2-3x drift by day).  The
-# cap stays a count of base primes, which bounds that vectorised work
-# loosely at every step.
+# tables, summed over tables and over units of 2**20 / a values of n but at
+# least one kernel segment (equations._span; not blocks, which a halo under
+# a quarter segment makes shorter, nor a caller's block_size): a two-table
+# unit search over 10**10 n with arguments up to 2 * 10**10, 2 x
+# ceil(10**10 / 2**20) units x pi(isqrt(2 * 10**10)) primes, ~2.5 * 10**8.
+# No table loops over its base primes: at every step the kernel loops only
+# over the primes from 11 below 2**8, copies 2, 3, 5 and 7 from its wheel
+# and applies every larger prime by its hits, all at once, so the count
+# overstates the work: one 2**20-entry phi table took 0.020 s near 10**10,
+# 0.027 s near 10**12 and 0.037 s near 10**14 on that Xeon (medians of 5;
+# 2-3x drift by day).  The cap stays a count of base primes, which bounds
+# that vectorised work loosely at every step.
 _MEMORY_BUDGET = 1 << 30
 _SIEVE_LIMIT = 10**10
 _WORK_LIMIT = 2 * -(-_SIEVE_LIMIT // DEFAULT_SEGMENT) * _simple_primes(isqrt(2 * _SIEVE_LIMIT)).size

@@ -149,31 +149,32 @@ def _scan_block(
     out = []
     for i in np.nonzero(f1 == f2)[0]:
         n = u + int(i)
-        a1n, a2n = spec.arguments(n)
-        out.append(SolutionRecord(n, a1n, a2n, int(f1[i])))
+        out.append(SolutionRecord(n, *spec.arguments(n), int(f1[i])))
     return out
 
 
-def _check_work(spec: EquationSpec, lo: int, hi: int, span: int) -> None:
+def _span(spec: EquationSpec) -> int:
+    """2**20 / max(a1, a2) values of n, but at least one kernel segment."""
+    return max(arith._segment(), arith.DEFAULT_SEGMENT // max(spec.a1, spec.a2))
+
+
+def _check_work(spec: EquationSpec, lo: int, hi: int) -> None:
     """Refuse, with CapacityError, a search past 2**48 or arith._WORK_LIMIT.
 
-    search's one up-front check, for every spec.  Each table reduces its
-    start modulo every base prime up to the square root of its largest
-    argument, and its kernel segments then take those that hit all at once,
-    with no Python loop over them at any step; so the work is counted as
-    tables per block x blocks x pi(isqrt(largest argument)), at every step,
-    for blocks of span values of n.  For its default blocks search passes
-    span = 2**20 / a, also where its unit-shift blocks are shorter: those
-    are two whole kernel segments with a halo under a quarter of one, so
-    they sieve fewer segments per n than a 2**20-value block, whose table
-    ends in a short one.  So large multipliers cost more per n than the
-    range check allows for, and so do large offsets.
+    search's one up-front check, for every spec and any block_size.  A
+    table at any step holds one entry per n and pays a whole walk: it
+    reduces its start modulo every base prime up to the square root of its
+    largest argument, and its kernel segments take those that hit all at
+    once, with no Python loop over them.  So no default block is shorter
+    than one segment, and the work is counted as tables x units x
+    pi(isqrt(largest argument)) in units of _span(spec) values of n.
     """
-    if span < 1 or hi < lo:
-        return  # the block map refuses span < 1 itself
+    if hi < lo:
+        return
     largest = max(spec.arguments(hi))
     if largest >= arith.TABLE_LIMIT:
         raise CapacityError(f"argument {largest} at n = {hi} exceeds table capacity")
+    span = _span(spec)
     tables = 1 if _one_table(spec, span) else 2
     work = tables * -(-(hi - lo + 1) // span) * arith._base_primes(isqrt(largest)).size
     if work > arith._WORK_LIMIT:
@@ -183,8 +184,8 @@ def _check_work(spec: EquationSpec, lo: int, hi: int, span: int) -> None:
 
 
 def _unit_span(halo: int) -> int:
-    """Values per block of a unit-step table that reaches halo entries past its
-    block, so that the table is two whole kernel segments (at least 1 value).
+    """Values of n per block whose one table, at any step, reaches halo entries
+    past the block, so that the table is two whole kernel segments (at least 1).
 
     One segment per table was tried when every block allocated its own
     table: glibc trimmed the heap after each block and the next block
@@ -215,20 +216,19 @@ def search(
     search with an argument >= 2**48 or sieve work over arith._WORK_LIMIT
     is refused with CapacityError before any sieving, at any multipliers.
 
-    A default block of f(n) = f(n + h) with h < 2**16 holds 2**19 - h
-    values of n, so that its one table is two whole unit-step kernel
-    segments; every other default block holds 2**20 / max(a1, a2).
+    A default block of f(a*n + b1) = f(a*n + b2) with a halo h = |b2 - b1|
+    / a < 2**16 holds 2**19 - h values of n, so that its one table is two
+    whole kernel segments, at any step; every other default block holds
+    _span(spec) values of n.
     """
     if xmax < 1:
         raise UsageError(f"xmax must be >= 1, got {xmax}")
-    span = max(1, arith.DEFAULT_SEGMENT // max(spec.a1, spec.a2))
     lo = _first_valid_n(spec)
-    _check_work(spec, lo, xmax, span if block_size is None else block_size)
+    _check_work(spec, lo, xmax)
     if block_size is None:
-        h = abs(spec.b2 - spec.b1)
         # two-segment blocks only while the halo is under a quarter segment:
         # longer halos sieve more per n in them than in 2**20-value blocks
         # (phi(n) = phi(n + 2**18 - 1) to 4 * 10**6: 0.17 -> 0.26 s, 2-vCPU Xeon)
-        unit = spec.a1 == spec.a2 == 1 and h < arith._segment() >> 2
-        block_size = _unit_span(h) if unit else span
+        two = _one_table(spec, arith._segment() >> 2)
+        block_size = _unit_span(abs(spec.b2 - spec.b1) // spec.a1) if two else _span(spec)
     return _map_blocks(partial(_scan_block, spec), lo, xmax, block_size, threads)

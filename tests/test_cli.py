@@ -323,11 +323,12 @@ def test_bulk_ranges_refused_exit_2(capsys):
 
 
 def test_large_multiplier_search_refused_exit_2(capsys, monkeypatch):
-    # inside the 10**10 range limit, but the work cap counts the ~2 * 10**5 base
-    # primes below sqrt(10**13) for each block of 2**20 / 1000 values of n, and
-    # at unit multipliers the ~7.8 * 10**4 below 10**6 for each block of 2**20
-    # values near 10**12: some 11 hours and 10 minutes of sieving (about 4 ms a
-    # block near n = 10**10, and 0.05 s a table): refused before any table is built
+    # inside the 10**10 range limit, but the work cap counts the ~2.3 * 10**5 base
+    # primes below sqrt(10**13) twice for each kernel segment of 2**18 values of n
+    # (~1.7 * 10**10), and at unit multipliers the ~7.9 * 10**4 below 10**6 twice
+    # for each 2**20 values near 10**12 (~1.5 * 10**9), against a cap of ~2.5 * 10**8:
+    # some 20 and 12 minutes of sieving (about 37 ms a 2**18-value block near
+    # n = 10**10, and 78 ms a 2**20-value one): refused before any table is built
     monkeypatch.setattr(arith, "build_table", lambda *a, **k: pytest.fail("build_table ran"))
     for a1, b2 in ((1000, 1), (1, 10**12)):
         eq = ["--fn", "phi", "--a1", str(a1), "--b1", "0", "--a2", "1", "--b2", str(b2)]
@@ -337,6 +338,17 @@ def test_large_multiplier_search_refused_exit_2(capsys, monkeypatch):
             assert time.perf_counter() - start < 1.0, argv
             assert code == 2, argv
             assert out == "" and "base primes" in err
+
+
+def test_large_multiplier_search_admitted_to_1e6(capsys):
+    # phi(1000n) = phi(n + 1) near n = 10**10, in four 2**18-value blocks of two tables
+    # (~1.8 * 10**6 base primes counted); it has no solutions, as phi(1000m) >= 400 phi(m)
+    # and phi(m) > m / 7 near m = 10**10
+    eq = ["--fn", "phi", "--a1", "1000", "--b1", str(10**13), "--a2", "1", "--b2", str(10**10 + 1)]
+    for threads in ("1", "2"):
+        code, out, err = invoke(["search", *eq, "--max", str(10**6), "--threads", threads], capsys)
+        assert code == 0, err
+        assert out == "n,A1,A2,value,class\n"
 
 
 def test_x_past_float_range_exit_2(capsys):

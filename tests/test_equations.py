@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import brute
-from sigmaphi import arith
+from sigmaphi import arith, equations
 from sigmaphi import (
     CapacityError,
     EquationSpec,
@@ -171,18 +171,19 @@ def test_one_progression_search_matches_brute(kind, a, b1, b2, monkeypatch):
         for threads in (1, 3):
             got = search(EquationSpec(kind, a, b1, a, b2), 600, threads, block_size)
             assert [r.n for r in got] == want, (block_size, threads)
-    # unit-step segments of 64 entries: 600 values of n cross several default
-    # blocks, 128 - h values of n each below h = 16 and 256 // a from there on
+    # 64-entry segments at any step: 600 values of n cross several default
+    # blocks, 128 - h values of n each below a halo h of 16 and 256 // a from there on
     monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 256)
     for threads in (1, 3):
         got = search(EquationSpec(kind, a, b1, a, b2), 600, threads)
         assert [r.n for r in got] == want, threads
 
 
-# default block spans: 2**19 - h values of n for f(n) = f(n + h) with h < 2**16,
-# so that the one table is 2**19 entries, two whole unit-step kernel segments
+# default block spans: 2**19 - h values of n for f(a*n + b1) = f(a*n + b2) with a halo
+# h = |b2 - b1| / a < 2**16, so that the one table is 2**19 entries, two whole kernel
+# segments at any step; max(2**18, 2**20 // max(a1, a2)) for every other equation
 DEFAULT_SPANS = {(1, 0, 1, 1): 2**19 - 1, (1, 0, 1, 2**16 - 1): 2**19 - 2**16 + 1,
-                 (1, 0, 1, 2**16): 2**20}
+                 (1, 0, 1, 2**16): 2**20, (2, 1, 2, 7): 2**19 - 3, (1000, 0, 1, 1): 2**18}
 
 
 @pytest.mark.parametrize("h", [2**16 - 1, 2**16])
@@ -221,6 +222,8 @@ def test_search_sieves_base_primes_once(monkeypatch):
         ((2, 1, 3, 1), 100, 2),  # affine
         ((1, 0, 1, 2**16 - 1), None, 1),
         ((1, 0, 1, 2**16), None, 1),  # a quarter of a unit-step segment
+        ((2, 1, 2, 7), None, 1),  # two segments at step 2
+        ((1000, 0, 1, 1), None, 2),  # one segment, not 2**20 // 1000 values of n
     ],
 )
 def test_tables_per_block(monkeypatch, coeffs, block_size, tables):
@@ -243,6 +246,65 @@ def test_tables_per_block(monkeypatch, coeffs, block_size, tables):
     if tables == 1:  # the union of both argument ranges of the block
         u, v = 1, min(xmax, span)
         assert calls[0] == (a * u + min(b1, b2), a * v + max(b1, b2), a)
+        if block_size is None and abs(b2 - b1) // a < 2**16:  # two whole segments
+            assert (calls[0][1] - calls[0][0]) // a + 1 == 2**19
+    else:  # one table of span entries per argument
+        assert {(hi - lo) // step + 1 for lo, hi, step in calls} == {span}
+
+
+# at a 256-entry DEFAULT_SEGMENT, 256 // a values of n is under one 64-entry kernel
+# segment from a = 5 on, so these default blocks are one segment: two tables (affine),
+# one table with a halo of 20 (a quarter segment or more) and two tables off one
+# progression (a does not divide 3); with a halo of 3 the one table is two segments
+def floored(a):
+    return {(a, 0, a - 1, 7): 64, (a, 1, a, 1 + 20 * a): 64, (a, 0, a, 3): 64,
+            (a, 2, a, 2 + 3 * a): 125}
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("a", [5, 7, 1000])
+def test_floored_blocks_match_brute(kind, a, monkeypatch):
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 256)
+    spans = []
+    real = equations._map_blocks
+
+    def map_blocks(scan, lo, hi, span, threads):
+        spans.append(span)
+        return real(scan, lo, hi, span, threads)
+
+    monkeypatch.setattr(equations, "_map_blocks", map_blocks)
+    for coeffs, span in floored(a).items():
+        want = brute.solutions(kind.value, *coeffs, 700)
+        for threads in (1, 3):
+            spans.clear()
+            got = search(EquationSpec(kind, *coeffs), 700, threads)
+            assert spans == [span], coeffs
+            assert [r.n for r in got] == want, (coeffs, threads)
+
+
+# (coefficients, xmax, admitted): the work cap's verdict, which block_size must not change
+CAPPED = [
+    ((1, 0, 1, 1), 10**10, True),
+    ((1, 0, 1, 10**12), 10**10, False),
+    ((2, 0, 2, 2), 7 * 10**9, True),
+    ((2, 0, 2, 3), 7 * 10**9, False),
+    ((1000, 0, 1, 1), 10**10, False),
+    # phi(1000n) = phi(n + 1) near n = 10**10: two tables of 2**18 values of n per unit
+    ((1000, 10**13, 1, 10**10 + 1), 10**8, True),
+    ((1000, 10**13, 1, 10**10 + 1), 2 * 10**8, False),
+]
+
+
+@pytest.mark.parametrize("coeffs,xmax,admitted", CAPPED)
+def test_work_cap_ignores_block_size(monkeypatch, coeffs, xmax, admitted):
+    monkeypatch.setattr(equations, "_map_blocks", lambda *args: [])
+    for block_size in (1, 97, None):
+        spec = EquationSpec(Kind.PHI, *coeffs)
+        if admitted:
+            assert search(spec, xmax, block_size=block_size) == []
+        else:
+            with pytest.raises(CapacityError, match="base primes"):
+                search(spec, xmax, block_size=block_size)
 
 
 def test_work_limit():
@@ -255,17 +317,16 @@ def test_work_limit():
     # the benchmark's searches, and every unit shift up to 10**10 at the range
     # limit (one table per block below a halo of 2**20, two from there on);
     # the shift 10**10 is exactly at the cap
-    span = arith.DEFAULT_SEGMENT
     for kind in Kind:
-        _check_work(EquationSpec(kind, 1, 0, 1, 1), 1, 2 * 10**6, span)
-        _check_work(EquationSpec(kind, 2, 1, 3, 1), 1, 10**6, span // 3)
+        _check_work(EquationSpec(kind, 1, 0, 1, 1), 1, 2 * 10**6)
+        _check_work(EquationSpec(kind, 2, 1, 3, 1), 1, 10**6)
         for b2 in (1, 2**20 - 1, 2**20, 10**9, 10**10):
-            _check_work(EquationSpec(kind, 1, 0, 1, b2), 1, 10**10, span)
-    _check_work(EquationSpec(Kind.PHI, 1, 0, 1, 10**14), 1, 10**8, span)
+            _check_work(EquationSpec(kind, 1, 0, 1, b2), 1, 10**10)
+    _check_work(EquationSpec(Kind.PHI, 1, 0, 1, 10**14), 1, 10**8)
     # to 7 * 10**9, one table per block is admitted and two are refused
-    _check_work(EquationSpec(Kind.PHI, 2, 0, 2, 2), 1, 7 * 10**9, span // 2)
+    _check_work(EquationSpec(Kind.PHI, 2, 0, 2, 2), 1, 7 * 10**9)
     with pytest.raises(CapacityError):
-        _check_work(EquationSpec(Kind.PHI, 2, 0, 2, 3), 1, 7 * 10**9, span // 2)
+        _check_work(EquationSpec(Kind.PHI, 2, 0, 2, 3), 1, 7 * 10**9)
 
 
 def _no_sieve(monkeypatch):
