@@ -142,10 +142,10 @@ def _step_inverses(step: int, primes: np.ndarray) -> np.ndarray:
 # days is refused with CapacityError instead.  _MEMORY_BUDGET caps, in bytes,
 # the 8 B per entry table that build_table or largest_factor_table allocates
 # and the y-smooth table of the sigma and phi smooth counters, 1 B per odd
-# number up to x + 1.
+# number up to (x + 1) // 2.
 # _SIEVE_LIMIT caps how many integers one block map or one smooth counter
-# walks: ~0.3-1 min for psi, which sieves only the odd m (psi(10**8, 100)
-# took 0.19 s and psi(10**8, 10**5) 0.52 s), and ~3.5 min for a one-table
+# walks: ~0.3-1 min for psi, which sieves only the m prime to 6 (psi(10**8,
+# 100) took 0.19 s and psi(10**8, 10**5) 0.53 s), and ~3.5 min for a one-table
 # sigma search, in 19,074 blocks of 2**19 - 1 values of n (sigma(n) =
 # sigma(n + 1) over 2**22 n near 10**10 took 0.086 s), in one process on a
 # 2-vCPU Xeon (medians of 3).

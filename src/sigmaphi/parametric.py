@@ -256,21 +256,34 @@ def ghp_generate(j: int, k: int, r: int) -> int | None:
 
 
 def consecutive_multiperfect_search(xmax: int, threads: int = 1) -> list[int]:
-    """All m <= xmax with m | sigma(m) and (m+1) | sigma(m+1), ascending."""
+    """All m <= xmax with m | sigma(m) and (m+1) | sigma(m+1), ascending.
+
+    One of m and m + 1 is odd, so a pair qualifies only if its odd member o <= xmax + 1
+    has o | sigma(o).  The scan sieves sigma at the odd o alone, as step-2 tables over
+    blocks of odd indices, and confirms each m in {o - 1, o} of a hit o with scalar
+    sigma, so the pairs do not depend on the block edges.  No odd o > 1 with o | sigma(o)
+    (an odd multiperfect number) is known, so the confirmations cost next to nothing.
+    """
     if xmax < 1:
         raise UsageError(f"xmax must be >= 1, got {xmax}")
+    # the odd map spans half as many indices as there are m, so the block map
+    # would not refuse this range itself
+    if xmax > arith._SIEVE_LIMIT:
+        raise CapacityError(f"[1, {xmax}] spans more than {arith._SIEVE_LIMIT} integers")
+
+    def qualifies(m: int) -> bool:
+        return 1 <= m <= xmax and arith.sigma(m) % m == 0 and arith.sigma(m + 1) % (m + 1) == 0
 
     def scan(block: tuple[int, int], scratch: arith._Scratch) -> list[int]:
-        lo, hi = block
-        # one past hi for the m+1 check
-        values = scratch.array("tables", hi - lo + 2, np.uint64)
-        arith.build_table(lo, hi + 1, Kind.SIGMA, out=values, scratch=scratch)
-        # sigma(m) % m in place, in slices, so that no second block-size array is held
+        lo, hi = (2 * i + 1 for i in block)  # the odd o of indices block[0]..block[1]
+        values = scratch.array("tables", block[1] - block[0] + 1, np.uint64)
+        arith.build_table(lo, hi, Kind.SIGMA, step=2, out=values, scratch=scratch)
+        # sigma(o) % o in place, in slices, so that no second block-size array is held
         for i in range(0, values.size, arith._TAIL_CHUNK):
             chunk = values[i : i + arith._TAIL_CHUNK]
-            np.remainder(chunk, np.arange(lo + i, lo + i + chunk.size, dtype=np.uint64), out=chunk)
-        divisible = values == 0
-        both = divisible[:-1] & divisible[1:]
-        return [lo + int(i) for i in np.nonzero(both)[0]]
+            o = np.arange(lo + 2 * i, lo + 2 * (i + chunk.size), 2, dtype=np.uint64)
+            np.remainder(chunk, o, out=chunk)
+        hits = (lo + 2 * int(i) for i in np.flatnonzero(values == 0))
+        return [m for o in hits for m in (o - 1, o) if qualifies(m)]
 
-    return _map_blocks(scan, 1, xmax, _unit_span(1), threads)
+    return _map_blocks(scan, 0, xmax // 2, _unit_span(0), threads)

@@ -2,10 +2,11 @@
 
 The counters are exact.  psi and the sigma/phi smooth counts are one count
 (_count) of a multiplicative indicator g on the arith kernel: n counts iff
-every p**e || n passes the counter's rule.  Each n is 2**a * m with m odd and
-g(n) = g(2**a) * g(m), so the kernel sieves only the odd m <= x, and every
-2**a <= x that passes adds the odd m <= x >> a that pass.  The bound
-evaluators drop every o(.) and (1+o(1)) factor from the displayed
+every p**e || n passes the counter's rule.  Each n is 2**a * 3**b * m with
+gcd(m, 6) = 1 and g(n) = g(2**a) * g(3**b) * g(m), so the kernel sieves only
+the m <= x prime to 6, as two step-6 walks from 1 and 5, and every head
+2**a * 3**b <= x that passes adds the m <= x // (2**a * 3**b) that pass.  The
+bound evaluators drop every o(.) and (1+o(1)) factor from the displayed
 asymptotics, so they are reporting aids, not certified inequalities.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import count
+from itertools import compress, count, takewhile
 
 import numpy as np
 
@@ -40,23 +41,23 @@ def _check_xy(x: int, y) -> None:
         raise CapacityError(f"x must be <= {arith._SIEVE_LIMIT}, got {x}")
 
 
-def _segments(x: int, local, bound: int | None = None):
-    """Yield (j, mask) with mask[i] = (g(m) != 0) at the odd m = 2*(j + i) + 1 <= x, one
-    kernel segment at a time, g multiplicative with g(p**e) = local(p**e, p).  The odd m
-    are one step-2 walk from 1, so mask covers the odd-index range [j, j + mask.size) of
-    the (x + 1) // 2 odd m <= x; the next segment overwrites it.  The kernel sieves the
-    wheel primes 3, 5, 7 (2 divides no term) and the primes <= min(bound, isqrt(x)), and
-    hands it the rest of each m as one cofactor, which bound is for the caller to make
-    exact.  The walk (its wheel, primes and inverses of 2) and the kernel's scratch are
-    built once, for every segment.
+def _segments(r: int, step: int, x: int, local, bound: int | None = None):
+    """Yield (j, mask) with mask[i] = (g(m) != 0) at the terms m = r + step*(j + i) <= x,
+    one kernel segment at a time, g multiplicative with g(p**e) = local(p**e, p).  mask
+    covers the index range [j, j + mask.size) of the walk's (x - r) // step + 1 terms (none
+    if x < r); the next segment overwrites it.  The kernel sieves the wheel primes 2, 3, 5,
+    7 that divide a term and the primes <= min(bound, isqrt(x)), and hands it the rest of
+    each m as one cofactor, which bound is for the caller to make exact.  The walk (its
+    wheel, primes and inverses of step) and the kernel's scratch are built once, for every
+    segment.
     """
     top = math.isqrt(x) if bound is None else min(bound, math.isqrt(x))
-    size = (x + 1) // 2
-    walk = arith._walk(1, 2, size, local, arith._wheel_lookup(local), arith._base_primes(top))
+    size = max(0, (x - r) // step + 1)
+    walk = arith._walk(r, step, size, local, arith._wheel_lookup(local), arith._base_primes(top))
     buffer, scratch = np.empty(arith._segment(), dtype=bool), arith._Scratch()
     for j in range(0, size, buffer.size):
         out = buffer[: size - j]
-        arith._sieve_segment(2 * j + 1, walk, out, scratch)
+        arith._sieve_segment(r + step * j, walk, out, scratch)
         yield j, out
 
 
@@ -64,22 +65,30 @@ def _count(x: int, local, bound: int | None = None) -> int:
     """Count of n <= x with g(n) != 0, for the multiplicative g with g(p**e) = local(p**e, p).
 
     For multiplicative f, f(n) is y-smooth iff f(p**e) is for every p**e || n.  Each n is
-    2**a * m with m odd in exactly one way, g(n) = g(2**a) * g(m), and 2**a * m <= x iff
-    m <= x >> a, so the count is the sum, over the 2**a <= x with g(2**a) != 0, of the odd
-    m <= x >> a that pass.  Those m are the first ((x >> a) + 1) // 2 terms of the odd walk
-    (_segments), a prefix whose count is read in the segment where it ends: every term is
-    sieved once, whatever the number of prefixes.  g(2**a) comes from the rule itself, with
-    the rule's exact paths (2 > y for psi, sigma(2**a) > x + 1).  bound caps the base
-    primes, as in _segments.
+    h * m with h = 2**a * 3**b and gcd(m, 6) = 1 in exactly one way, g(n) = g(h) * g(m) as
+    gcd(h, m) = 1, and h * m <= x iff m <= x // h.  So the count is the sum, over the heads
+    h <= x with g(h) != 0, of the m <= x // h prime to 6 that pass.  Those m are 1 or 5 mod
+    6: the first (x // h - r) // 6 + 1 terms of the step-6 walk from r (_segments), for r =
+    1 and 5, a prefix whose count is read in the segment where it ends, so every term is
+    sieved once, whatever the number of heads.  g(2**a) and g(3**b) come from the rule
+    itself, with the rule's exact paths (2 or 3 > y for psi, sigma(p**e) past the y-smooth
+    table).  bound caps the base primes, as in _segments.
     """
-    powers = np.left_shift(np.uint64(1), np.arange(1, x.bit_length(), dtype=np.uint64))
-    passes = [True, *local(powers, np.full_like(powers, 2)).tolist()]
-    ends = sorted(((x >> a) + 1) // 2 for a, ok in enumerate(passes) if ok)
-    total = before = 0
-    for j, mask in _segments(x, local, bound):
-        for end in ends[bisect_right(ends, j) : bisect_right(ends, j + mask.size)]:
-            total += before + int(np.count_nonzero(mask[: end - j]))
-        before += int(np.count_nonzero(mask))
+
+    def passing(p: int) -> list[int]:  # 1 and the p**e <= x with g(p**e) != 0
+        powers = [*takewhile(x.__ge__, (p**e for e in count(1)))]
+        at = np.array(powers, dtype=np.uint64)
+        return [1, *compress(powers, local(at, np.full_like(at, p)).tolist())]
+
+    heads = [h for h in (a * b for a in passing(2) for b in passing(3)) if h <= x]
+    total = 0
+    for r in (1, 5):
+        ends = sorted((x // h - r) // 6 + 1 for h in heads)
+        before = 0
+        for j, mask in _segments(r, 6, x, local, bound):
+            for end in ends[bisect_right(ends, j) : bisect_right(ends, j + mask.size)]:
+                total += before + int(np.count_nonzero(mask[: end - j]))
+            before += int(np.count_nonzero(mask))
     return total
 
 
@@ -132,20 +141,22 @@ def count_S(x: int, y) -> int:
 
 def _smooth_table(limit: int, y) -> np.ndarray:
     """bool array t with t[i] = (2*i + 1 is y-smooth) for the (limit + 1) // 2 odd numbers
-    <= limit, (limit + 1) // 2 bytes, from the odd walk of psi's rule (_segments).  At
-    y >= 2 the prime 2 is y-smooth, so a number is y-smooth iff its odd part is, and the
-    table answers for the even numbers <= limit too (_smooth_lookup).
+    <= limit, (limit + 1) // 2 bytes, from the step-2 walk from 1 under psi's rule
+    (_segments).  At y >= 2 the prime 2 is y-smooth, so a number is y-smooth iff its odd
+    part is, and the table answers for every number whose odd part is <= limit
+    (_smooth_lookup).
     """
     table = np.empty((limit + 1) // 2, dtype=bool)
-    for j, mask in _segments(limit, _psi_rule(y), int(y)):
+    for j, mask in _segments(1, 2, limit, _psi_rule(y), int(y)):
         table[j : j + mask.size] = mask
     return table
 
 
 def _smooth_lookup(table: np.ndarray, y, values: np.ndarray) -> np.ndarray:
-    """Whether each of the uint64 values, 1 <= v <= limit, is y-smooth, from the table
-    _smooth_table(limit, y): at y >= 2, its odd part v // (v & -v) looked up at index
-    odd // 2.  Below 2 only v = 1 is y-smooth, though every power of 2 has odd part 1.
+    """Whether each of the uint64 values v >= 1, whose odd parts are at most limit, is
+    y-smooth, from the table _smooth_table(limit, y): at y >= 2, its odd part v // (v & -v)
+    looked up at index odd // 2.  Below 2 only v = 1 is y-smooth, though every power of 2
+    has odd part 1.
     """
     if y < 2:
         return values == 1
@@ -157,20 +168,23 @@ def _smooth_lookup(table: np.ndarray, y, values: np.ndarray) -> np.ndarray:
 def _f_smooth_count(kind: arith.Kind, x: int, y) -> int:
     """Count of n <= x with f(n) y-smooth, f = sigma or phi.
 
-    f(p**e) is looked up in the odd-only y-smooth table of 1..x+1 when it is at most x+1,
-    which holds for f(q) = q +- 1 at every prime q <= x; the few sigma(p**e) above it are
+    f(p**e) is looked up by its odd part in the y-smooth table of the odd numbers up to
+    half = (x + 1) // 2.  The rule sees p None only at 1 and at primes 5 <= q <= x (the
+    walks' terms are prime to 6), where f is 1 or q +- 1, even and <= x + 1, so its odd part
+    is <= half.  At prime powers one max test sends values <= half to the table; past it,
+    those whose odd part is above half (sigma(p**e) near x, some f(2**a), f(3**b)) are
     tested exactly.
     """
     _check_xy(x, y)
-    arith._check_bytes((x + 2) // 2)  # the table's bytes, one per odd number <= x + 1
-    smooth = _smooth_table(x + 1, y)
+    half = (x + 1) // 2
+    arith._check_bytes((half + 1) // 2)  # the table's bytes, one per odd number <= half
+    smooth = _smooth_table(half, y)
 
     def local(pe, p=None):
         values = kind.local(pe, p)
-        # f(q) = q +- 1 <= x + 1 at 1 and the primes q <= x
-        if p is None or values.max(initial=0) <= x + 1:
+        if p is None or values.max(initial=0) <= half:
             return _smooth_lookup(smooth, y, values)
-        big = values > x + 1
+        big = values // (values & -values) > half
         out = _smooth_lookup(smooth, y, np.where(big, np.uint64(1), values))
         out[big] = [arith.largest_prime_factor(int(v)) <= y for v in values[big]]
         return out

@@ -289,9 +289,10 @@ def test_capacity_exit_2(capsys):
         )
         assert code == 2
         assert "x must be <=" in err
-    # refused before the (x + 2) // 2-byte y-smooth table of sigma and phi (the odd
-    # numbers up to x + 1) passes the 1 GiB budget, and before psi sieves for about 40 days
-    for which, x in (("psi", 1 << 47), ("phi", 10**10), ("sigma", 10**10), ("sigma", 2**31)):
+    # refused before the ((x + 1) // 2 + 1) // 2-byte y-smooth table of sigma and phi (the
+    # odd numbers up to (x + 1) // 2) passes the 1 GiB budget, which it does from
+    # x = 2**32 + 1, and before psi sieves for about 40 days
+    for which, x in (("psi", 1 << 47), ("phi", 10**10), ("sigma", 10**10), ("sigma", 2**32 + 1)):
         code, _, err = invoke(["smooth", "--which", which, "--x", str(x), "--y", "2"], capsys)
         assert code == 2, which
         assert "x must be <=" in err or "budget" in err

@@ -402,32 +402,54 @@ def test_multiperfect_search_blocks_match(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 3])
+def test_multiperfect_search_matches_trial_division(threads, monkeypatch):
+    # every xmax <= 300, in one block and in blocks of 14 odd numbers
+    expected = []
+    for xmax in range(1, 301):
+        if brute.sigma(xmax) % xmax == 0 and brute.sigma(xmax + 1) % (xmax + 1) == 0:
+            expected.append(xmax)
+        assert consecutive_multiperfect_search(xmax, threads=threads) == expected, xmax
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 28)
+    assert equations._unit_span(0) == 14
+    for xmax in range(1, 301):
+        assert consecutive_multiperfect_search(xmax, threads=threads) == expected, xmax
+
+
+@pytest.mark.parametrize("threads", [1, 3])
 def test_multiperfect_search_finds_planted_pairs(threads, monkeypatch):
     # no m <= 20000 qualifies, so a scan that always answers [] would pass the tests
-    # above: plant sigma-like values that make chosen m pass m | sigma(m), one pair
-    # ending a block (its m + 1 read from the lookahead), one starting a block, and a
-    # decoy whose m + 1 fails
+    # above: plant sigma-like values, 2 * m, at chosen m, in the scan's step-2 tables of
+    # the odd o and in the scalar sigma that confirms each m in {o - 1, o}.  One pair's
+    # odd member ends a block and one's starts a block, each with its even partner across
+    # the block edge; a decoy o has partners that fail, so a scan that returns both
+    # neighbours of every odd hit unconfirmed fails too
     monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 64)
-    span = equations._unit_span(1)
-    last, first, decoy = 3 * span, 5 * span + 1, 7 * span + 10
-    planted = {last, last + 1, first, first + 1, decoy}
-    real = arith.build_table
+    span = equations._unit_span(0)  # odd numbers per block
+    last = 2 * (3 * span - 1) + 1  # the last odd number of block 2, m = last
+    first = 2 * (5 * span) + 1  # the first odd number of block 5, m = first - 1
+    decoy = 2 * (7 * span + 10) + 1
+    planted = {last, last + 1, first - 1, first, decoy}
+    real_table, real_sigma = arith.build_table, arith.sigma
 
-    def planting(lo, hi, kind, **kwargs):  # the scan's unit-step sigma tables
-        out = real(lo, hi, kind, **kwargs)
-        for m in planted:
-            if lo <= m <= hi:
-                out[m - lo] = 2 * m
+    def planting(lo, hi, kind, step, **kwargs):  # the scan's step-2 sigma tables
+        out = real_table(lo, hi, kind, step=step, **kwargs)
+        for o in planted:
+            if o % 2 and lo <= o <= hi:
+                out[(o - lo) // step] = 2 * o
         return out
 
+    def sigma(m):
+        return 2 * m if m in planted else real_sigma(m)
+
     monkeypatch.setattr(arith, "build_table", planting)
-    xmax = 9 * span
+    monkeypatch.setattr(arith, "sigma", sigma)
+    xmax = 2 * 9 * span
 
     def passes(m):
         return m in planted or brute.sigma(m) % m == 0
 
     expected = [m for m in range(1, xmax + 1) if passes(m) and passes(m + 1)]
-    assert expected == [last, first]
+    assert expected == [last, first - 1]
     assert consecutive_multiperfect_search(xmax, threads=threads) == expected
 
 

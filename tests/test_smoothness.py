@@ -82,20 +82,6 @@ def test_counters_span_segments():
         assert sigma_smooth_count(x, y) == np.count_nonzero(lpf[sigmas] <= y)
 
 
-def test_counters_at_small_segments(monkeypatch):
-    # DEFAULT_SEGMENT = 7 gives 1-entry segments, each copying one entry of the kernel's
-    # wheel, here on bool outputs; 2**12 gives 1024-entry segments, which copy it across
-    # segment edges.  Neither x reaches the hit tier's primes (from 2**8); the 2**20 + 2000
-    # of test_counters_span_segments does
-    for seg, x in ((7, 300), (1 << 12, 3000)):
-        monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
-        for y in (1, 2, 10, 53, x + 2):
-            assert psi(x, y) == brute.psi(x, y), (seg, y)
-            assert phi_smooth_count(x, y) == brute.phi_smooth_count(x, y), (seg, y)
-            assert sigma_smooth_count(x, y) == brute.sigma_smooth_count(x, y), (seg, y)
-        monkeypatch.undo()
-
-
 @functools.cache
 def _oracle_factors(xmax):
     """(n, phi(n), sigma(n))'s largest prime factors at each n <= xmax, by trial division."""
@@ -107,16 +93,59 @@ def _oracle_factors(xmax):
     )
 
 
-def _oracle_counts(xmax, y):
-    """[psi, phi_smooth_count, sigma_smooth_count] at every x <= xmax (row x)."""
-    counts = np.cumsum(_oracle_factors(xmax) <= y, axis=0)
+# one oracle table for every test below: the largest x they count is 12 * 1024 + 7
+_ORACLE_MAX = 12 * 1024 + 7
+
+
+def _oracle_counts(y):
+    """[psi, phi_smooth_count, sigma_smooth_count] at every x <= _ORACLE_MAX (row x)."""
+    counts = np.cumsum(_oracle_factors(_ORACLE_MAX) <= y, axis=0)
     return [[0, 0, 0], *counts.tolist()]
 
 
+def _prefix_ends(x, size):
+    """Where, in segments of size terms, the prefixes that the heads h = 2**a * 3**b <= x
+    read of the step-6 walks from r = 1 and 5 end: the set of (r, place), place being
+    "edge", "inside" or "last" (past the walk's last whole segment).  Empty prefixes, of
+    the heads with x // h < r, are left out.
+    """
+    heads = [2**a * 3**b for a in range(x.bit_length()) for b in range(x.bit_length())]
+    where = set()
+    for r in (1, 5):
+        terms = max(0, (x - r) // 6 + 1)
+        for h in heads:
+            end = (x // h - r) // 6 + 1 if h <= x else 0
+            if end > 0:
+                last = end > terms // size * size
+                where.add((r, "edge" if end % size == 0 else "last" if last else "inside"))
+    return where
+
+
+def test_counters_at_small_segments(monkeypatch):
+    # DEFAULT_SEGMENT = 7 gives 1-entry segments, each copying one entry of the kernel's
+    # wheel, here on bool outputs; 28 and 2**12 give 7- and 1024-entry segments, which copy
+    # it across segment edges, and at x = 6 * size and 6 * size + 5 the prefixes of both
+    # walks end on segment edges, inside segments and in a last, partial one.  No x reaches
+    # the hit tier's primes (from 2**8); the 2**20 + 2000 of test_counters_span_segments does
+    for seg, xs in ((7, [300]), (28, [42, 47, 300]), (1 << 12, [3000, 6144, 6149])):
+        monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
+        size = arith._segment()
+        if size > 1:
+            places = set().union(*(_prefix_ends(x, size) for x in xs))
+            assert places == {(r, p) for r in (1, 5) for p in ("edge", "inside", "last")}
+        for x in xs:
+            for y in (1, 2, 2.5, 3, 10, 53, x + 2):
+                got = [psi(x, y), phi_smooth_count(x, y), sigma_smooth_count(x, y)]
+                assert got == _oracle_counts(y)[x], (seg, x, y)
+        monkeypatch.undo()
+
+
 def test_counters_match_brute_at_every_small_x():
-    # each count sums, over the 2**a <= x that pass, the odd m <= x >> a that pass
-    for y in (1, 1.5, 2, 3, 10):
-        oracle = _oracle_counts(300, y)
+    # each count sums, over the heads 2**a * 3**b <= x that pass, the m <= x // (2**a * 3**b)
+    # prime to 6 that pass; g(2) and g(3) flip at y = 2 or 3 (psi at 2 and 3, phi(4) =
+    # phi(3) = 2, sigma(3) = 4 and sigma(2) = 3)
+    for y in (1, 1.5, 2, 2.5, 3, 4, 10):
+        oracle = _oracle_counts(y)
         for x in range(1, 301):
             got = [psi(x, y), phi_smooth_count(x, y), sigma_smooth_count(x, y)]
             assert got == oracle[x], (x, y)
@@ -125,27 +154,30 @@ def test_counters_match_brute_at_every_small_x():
         assert sigma_smooth_count(x, x + 2) == brute.sigma_smooth_count(x, x + 2), x
 
 
+def test_walk_from_5_is_empty_below_5():
+    # below x = 5 only the walk from 1 has a term, m = 1; the counts at these x are
+    # checked in test_counters_match_brute_at_every_small_x
+    rule = smoothness._psi_rule(10)
+    for x in range(1, 5):
+        assert list(smoothness._segments(5, 6, x, rule)) == []
+        assert [mask.tolist() for _, mask in smoothness._segments(1, 6, x, rule)] == [[True]]
+
+
 @pytest.mark.parametrize("seg", [7, 28, 1 << 12])
 def test_split_thresholds_across_segments(monkeypatch, seg):
-    # the prefix of ((x >> a) + 1) // 2 odd m that each 2**a reads ends inside a segment,
-    # on a segment edge, or in a last, partial segment
+    # the prefixes of the step-6 walks from 1 and 5 that the heads read end inside a
+    # segment, on a segment edge, or in a last, partial segment, in both walks
     monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
     size = arith._segment()
     if size == 1:  # every prefix ends on an edge
-        xs, expected = range(1, 65), {"edge"}
+        xs, places = range(1, 65), {"edge"}
     else:
-        xs = [*range(2 * size - 3, 2 * size + 4), 4 * size, 4 * size + 3, 7 * size + 5]
-        expected = {"edge", "inside", "last"}
-    where = set()
-    for x in xs:
-        odd = (x + 1) // 2
-        for a in range(x.bit_length()):
-            end = ((x >> a) + 1) // 2
-            last = end > odd // size * size  # past the last whole segment
-            where.add("edge" if end % size == 0 else "last" if last else "inside")
-    assert where == expected
-    for y in (1, 1.5, 2, 3, 10):
-        oracle = _oracle_counts(max(xs), y)
+        xs = [*range(6 * size - 3, 6 * size + 9), 12 * size + 7]
+        places = {"edge", "inside", "last"}
+    where = set().union(*(_prefix_ends(x, size) for x in xs))
+    assert where == {(r, p) for r in (1, 5) for p in places}
+    for y in (1, 1.5, 2, 2.5, 3, 10):
+        oracle = _oracle_counts(y)
         for x in xs:
             got = [psi(x, y), phi_smooth_count(x, y), sigma_smooth_count(x, y)]
             assert got == oracle[x], (seg, x, y)
@@ -153,14 +185,16 @@ def test_split_thresholds_across_segments(monkeypatch, seg):
 
 @pytest.mark.parametrize("y", [1, 1.5, 2, 3, 10, 100])
 def test_smooth_lookup_by_odd_part(y):
-    # the odd-only table answers for every v <= x + 1, powers of 2 included; below y = 2
+    # the table of the odd numbers up to (x + 1) // 2 answers for every v whose odd part
+    # is that small, which every even v <= x + 1 is, powers of 2 included; below y = 2
     # only v = 1 is y-smooth, though every power of 2 has odd part 1
     x = 1000
-    table = smoothness._smooth_table(x + 1, y)
-    assert table.size == (x + 2) // 2
-    values = np.arange(1, x + 2, dtype=np.uint64)
-    got = smoothness._smooth_lookup(table, y, values)
-    assert got.tolist() == [brute.largest_prime_factor(v) <= y for v in range(1, x + 2)]
+    half = (x + 1) // 2
+    table = smoothness._smooth_table(half, y)
+    assert table.size == (half + 1) // 2
+    vs = [v for v in range(1, 4 * x) if v // (v & -v) <= half]
+    got = smoothness._smooth_lookup(table, y, np.array(vs, dtype=np.uint64))
+    assert got.tolist() == [brute.largest_prime_factor(v) <= y for v in vs]
 
 
 def _count_S_marks(x, y):
@@ -285,12 +319,13 @@ def test_budgets_admit_target_sizes(monkeypatch):
     monkeypatch.setattr(smoothness, "_count", lambda x, local, bound=None: x)
     monkeypatch.setattr(smoothness, "_smooth_table", lambda limit, y: None)
     assert psi(10**9, 100) == 10**9
-    # sigma and phi hold one y-smooth table of the odd numbers up to x + 1, (x + 2) // 2
-    # bytes, under the 1 GiB budget to x = 2**31 - 1
+    # sigma and phi hold one y-smooth table of the odd numbers up to (x + 1) // 2, so
+    # ((x + 1) // 2 + 1) // 2 bytes: at most 2**30 iff (x + 1) // 2 <= 2**31, that is iff
+    # x <= 2**32
     for counter in (phi_smooth_count, sigma_smooth_count):
         assert counter(10**9, 100) == 10**9
-        assert counter(2**31 - 1, 100) == 2**31 - 1
+        assert counter(2**32, 100) == 2**32
         with pytest.raises(CapacityError, match="budget"):
-            counter(2**31, 100)
+            counter(2**32 + 1, 100)
     # count_S is stubbed nowhere: it holds no O(x) array (a segmented mark sieve agrees)
     assert count_S(10**10, 100) == 522956440
