@@ -41,24 +41,27 @@ def _check_xy(x: int, y) -> None:
         raise CapacityError(f"x must be <= {arith._SIEVE_LIMIT}, got {x}")
 
 
-def _segments(r: int, step: int, x: int, local, bound: int | None = None):
-    """Yield (j, mask) with mask[i] = (g(m) != 0) at the terms m = r + step*(j + i) <= x,
-    one kernel segment at a time, g multiplicative with g(p**e) = local(p**e, p).  mask
-    covers the index range [j, j + mask.size) of the walk's (x - r) // step + 1 terms (none
-    if x < r); the next segment overwrites it.  The kernel sieves the wheel primes 2, 3, 5,
-    7 that divide a term and the primes <= min(bound, isqrt(x)), and hands it the rest of
-    each m as one cofactor, which bound is for the caller to make exact.  The walk (its
-    wheel, primes and inverses of step) and the kernel's scratch are built once, for every
-    segment.
+def _segments(residues, step: int, x: int, local, bound: int | None = None):
+    """Yield (r, j, mask) for the walk from each r in residues in turn, with mask[i] =
+    (g(m) != 0) at the terms m = r + step*(j + i) <= x, one kernel segment at a time, g
+    multiplicative with g(p**e) = local(p**e, p).  mask covers the index range [j, j +
+    mask.size) of the walk's (x - r) // step + 1 terms (none if x < r); the next segment
+    overwrites it.  The kernel sieves the wheel primes 2, 3, 5, 7 that divide a term and the
+    primes <= min(bound, isqrt(x)), and hands it the rest of each m as one cofactor, which
+    bound is for the caller to make exact.  The rule's wheel lookup, the base primes, the
+    segment buffer and the kernel's scratch are built once, for every walk; each walk's
+    primes and inverses of step once, for every segment.
     """
     top = math.isqrt(x) if bound is None else min(bound, math.isqrt(x))
-    size = max(0, (x - r) // step + 1)
-    walk = arith._walk(r, step, size, local, arith._wheel_lookup(local), arith._base_primes(top))
+    lookup, primes = arith._wheel_lookup(local), arith._base_primes(top)
     buffer, scratch = np.empty(arith._segment(), dtype=bool), arith._Scratch()
-    for j in range(0, size, buffer.size):
-        out = buffer[: size - j]
-        arith._sieve_segment(r + step * j, walk, out, scratch)
-        yield j, out
+    for r in residues:
+        size = max(0, (x - r) // step + 1)
+        walk = arith._walk(r, step, size, local, lookup, primes)
+        for j in range(0, size, buffer.size):
+            out = buffer[: size - j]
+            arith._sieve_segment(r + step * j, walk, out, scratch)
+            yield r, j, out
 
 
 def _count(x: int, local, bound: int | None = None) -> int:
@@ -80,15 +83,15 @@ def _count(x: int, local, bound: int | None = None) -> int:
         at = np.array(powers, dtype=np.uint64)
         return [1, *compress(powers, local(at, np.full_like(at, p)).tolist())]
 
-    heads = [h for h in (a * b for a in passing(2) for b in passing(3)) if h <= x]
+    threes = passing(3)
+    heads = [a * b for a in passing(2) for b in threes if a * b <= x]
+    ends = {r: sorted((x // h - r) // 6 + 1 for h in heads) for r in (1, 5)}
     total = 0
-    for r in (1, 5):
-        ends = sorted((x // h - r) // 6 + 1 for h in heads)
-        before = 0
-        for j, mask in _segments(r, 6, x, local, bound):
-            for end in ends[bisect_right(ends, j) : bisect_right(ends, j + mask.size)]:
-                total += before + int(np.count_nonzero(mask[: end - j]))
-            before += int(np.count_nonzero(mask))
+    for r, j, mask in _segments((1, 5), 6, x, local, bound):
+        before = 0 if j == 0 else before  # the walk's passing terms before index j
+        for end in ends[r][bisect_right(ends[r], j) : bisect_right(ends[r], j + mask.size)]:
+            total += before + int(np.count_nonzero(mask[: end - j]))
+        before += int(np.count_nonzero(mask))
     return total
 
 
@@ -147,7 +150,7 @@ def _smooth_table(limit: int, y) -> np.ndarray:
     (_smooth_lookup).
     """
     table = np.empty((limit + 1) // 2, dtype=bool)
-    for j, mask in _segments(1, 2, limit, _psi_rule(y), int(y)):
+    for _, j, mask in _segments((1,), 2, limit, _psi_rule(y), int(y)):
         table[j : j + mask.size] = mask
     return table
 

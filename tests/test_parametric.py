@@ -381,14 +381,14 @@ def test_multiperfect_search_small():
 def test_multiperfect_search_validation():
     with pytest.raises(UsageError):
         consecutive_multiperfect_search(0)
-    # the m + 1 lookahead would read sigma(2**48), past the table cap, but a
-    # range this long is refused first, by the block map's 10**10 limit
+    # refused up front by the search's own 10**10 limit: the odd-only map spans
+    # half as many indices, so the block map alone would not refuse it
     with pytest.raises(CapacityError):
         consecutive_multiperfect_search((1 << 48) - 1)
 
 
 def test_multiperfect_search_blocks_match(monkeypatch):
-    # block boundaries must not lose the m+1 lookahead
+    # block edges cannot lose a pair: each m in {o - 1, o} is confirmed with scalar sigma
     ms = []
     for m in range(1, 2000):
         if brute.sigma(m) % m == 0 and brute.sigma(m + 1) % (m + 1) == 0:
@@ -396,7 +396,7 @@ def test_multiperfect_search_blocks_match(monkeypatch):
     assert consecutive_multiperfect_search(1999) == ms
     monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 150)
     assert consecutive_multiperfect_search(1999, threads=3) == ms
-    # the perfect number 6 at a block edge still gets its m+1 lookahead
+    # the perfect number 6 at a block edge: its odd neighbours 5 and 7 fail
     monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 6)
     assert consecutive_multiperfect_search(6) == []
 

@@ -159,8 +159,8 @@ def test_walk_from_5_is_empty_below_5():
     # checked in test_counters_match_brute_at_every_small_x
     rule = smoothness._psi_rule(10)
     for x in range(1, 5):
-        assert list(smoothness._segments(5, 6, x, rule)) == []
-        assert [mask.tolist() for _, mask in smoothness._segments(1, 6, x, rule)] == [[True]]
+        got = [(r, j, mask.tolist()) for r, j, mask in smoothness._segments((1, 5), 6, x, rule)]
+        assert got == [(1, 0, [True])]
 
 
 @pytest.mark.parametrize("seg", [7, 28, 1 << 12])

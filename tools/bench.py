@@ -1,11 +1,11 @@
 """Write one point of the bench trajectory: a JSON file of end-to-end measurements.
 
-    python tools/bench.py --out BENCH_<n>.json [--seconds 8]
+    python tools/bench.py --out BENCH_<n>.json
 
 The file holds
 
 - "perfbench": the last stdout line of ``perfbench/run.py --workload all --seed 7
-  --seconds S`` at ``--trace 0`` and at ``--trace 1``;
+  --seconds 8`` at ``--trace 0`` and at ``--trace 1``;
 - "e2e": for each command in E2E, the CLI's manifest fields ``elapsed_ms``, ``rows``
   and ``stats`` (from its stderr) and the sha256 of its stdout.
 
@@ -62,10 +62,10 @@ def _env() -> dict:
     return {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
-def perfbench(trace: int, seconds: float) -> dict:
+def perfbench(trace: int) -> dict:
     """The last stdout line of the benchmark over every workload, parsed."""
     argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "all"]
-    argv += ["--seed", "7", "--seconds", str(seconds), "--trace", str(trace)]
+    argv += ["--seed", "7", "--seconds", "8", "--trace", str(trace)]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -82,9 +82,8 @@ def e2e(args: list[str]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--seconds", type=float, default=8.0)
     args = parser.parse_args(argv)
-    result = {"perfbench": {f"trace{t}": perfbench(t, args.seconds) for t in (0, 1)}, "e2e": {}}
+    result = {"perfbench": {f"trace{t}": perfbench(t) for t in (0, 1)}, "e2e": {}}
     bad = []
     for name, cli_args, digest, note in E2E:
         run = e2e(cli_args)
