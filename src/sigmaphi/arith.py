@@ -59,12 +59,14 @@ _base_lock = threading.Lock()
 
 class _Step:
     """What walks at one step > 1 share, its arrays read-only, so that a
-    search's blocks, on any thread, build them once: patterns holds the
-    wheel's pattern along every progression at step (176 KB; see _pattern),
-    built with the _Step, and inverses[i] step⁻¹ mod the i-th prime from 2,
-    or 0 where it divides step, for as many primes as walks have asked for
-    (8.6 MB for the pi(2**24) primes of a table at 2**48), replaced when
-    extended (_step_inverses).  Got through _step under _base_lock.
+    search's blocks, on any thread, and the calls that walk step while it
+    stays among the last three steps (_step) build them once: patterns
+    holds the wheel's pattern along every progression at step (176 KB; see
+    _pattern), built with the _Step, and inverses[i] step⁻¹ mod the i-th
+    prime from 2, or 0 where it divides step, for as many primes as walks
+    have asked for (8.6 MB for the pi(2**24) primes of a table at 2**48),
+    replaced when extended (_step_inverses).  Got through _step under
+    _base_lock.
     """
 
     def __init__(self, step: int) -> None:
@@ -75,9 +77,11 @@ class _Step:
         self.patterns.flags.writeable = False  # walks on other threads share it
 
 
-# The _Step of each of the two steps walked last: a search walks at most two,
-# a1 and a2.
-_step = lru_cache(maxsize=2)(_Step)
+# The _Step of each of the three steps walked last: a search walks at most
+# two, a1 and a2, and a smooth count then the multiperfect search walk three,
+# 2 (the y-smooth table), 6 (the counts) and 36 (the multiperfect scan), each
+# _Step taking 1.3-2.2 ms to build.
+_step = lru_cache(maxsize=3)(_Step)
 
 
 def _base_primes(limit: int) -> np.ndarray:

@@ -648,20 +648,20 @@ def test_step_inverses_under_threads(monkeypatch):
 
 
 @pytest.mark.usefixtures("fresh_steps")
-def test_step_cache_holds_the_last_two_steps():
-    assert arith._step.cache_info().maxsize == 2
+def test_step_cache_holds_the_last_three_steps():
+    assert arith._step.cache_info().maxsize == 3
     built = {}
-    for step in (2, 3, 5, 3, 7):
+    for step in (2, 3, 5, 3, 7, 11):
         build_table(10**6 + 1, 10**6 + 200 * step, Kind.SIGMA, step=step)
-        assert arith._step.cache_info().currsize <= 2
+        assert arith._step.cache_info().currsize <= 3
         built.setdefault(step, weakref.ref(arith._step(step)))
-    # 3 and 7 are kept: each is the object its walks built, and asking for it
+    # 3, 7 and 11 are kept: each is the object its walks built, and asking for it
     # again is a hit that builds nothing
     info = arith._step.cache_info()
-    assert info.currsize == 2
-    kept = {step: arith._step(step) for step in (3, 7)}
+    assert info.currsize == 3
+    kept = {step: arith._step(step) for step in (3, 7, 11)}
     assert arith._step.cache_info().misses == info.misses
-    assert all(kept[step] is built[step]() for step in (3, 7))
+    assert all(kept[step] is built[step]() for step in (3, 7, 11))
     # the evicted steps are dropped, not held elsewhere
     gc.collect()
     assert built[2]() is None and built[5]() is None
@@ -669,7 +669,7 @@ def test_step_cache_holds_the_last_two_steps():
     info = arith._step.cache_info()
     build_table(10**6, 10**6 + 10**5, Kind.PHI)
     assert arith._step.cache_info() == info
-    assert arith._step(3) is kept[3] and arith._step(7) is kept[7]
+    assert all(arith._step(step) is kept[step] for step in (3, 7, 11))
     # what a step holds: inverses for the primes its walks asked for, and one wheel period
     entry = kept[7]
     assert entry.inverses.size == arith._base_primes(isqrt(10**6 + 1400)).size

@@ -1,6 +1,7 @@
 import dataclasses
+from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -394,48 +395,88 @@ def test_multiperfect_search_blocks_match(monkeypatch):
         if brute.sigma(m) % m == 0 and brute.sigma(m + 1) % (m + 1) == 0:
             ms.append(m)
     assert consecutive_multiperfect_search(1999) == ms
-    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 150)
+    # 56 terms o = 9 (mod 36) in blocks of 4
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 8)
     assert consecutive_multiperfect_search(1999, threads=3) == ms
-    # the perfect number 6 at a block edge: its odd neighbours 5 and 7 fail
-    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 6)
+    # the perfect number 6: its odd neighbours 5 and 7 are not 9 mod 36, and the walk is empty
     assert consecutive_multiperfect_search(6) == []
+
+
+def test_multiperfect_congruence_bounds():
+    # the constants of consecutive_multiperfect_search's proof that every odd o > 1 with
+    # o | sigma(o) and o <= _SIEVE_LIMIT + 1 is 9 mod 36, each pinned against that cap, so
+    # that raising the cap past the proof fails here
+    top = arith._SIEVE_LIMIT + 1
+
+    def primes(lo, hi):
+        return [p for p in range(lo, hi + 1) if brute.is_prime(p)]
+
+    def abundancy_bound(ps):  # prod p/(p - 1), above sigma(o)/o when ps are o's primes
+        return prod(Fraction(p, p - 1) for p in ps)
+
+    # 1. at most 9 odd primes, so sigma(o) is 2o or 3o
+    assert prod(primes(3, 31)) == 100_280_245_065 > top
+    assert abundancy_bound(primes(3, 29)) < 4
+    # 2. a square o = m**2 has at most 5 primes, too few for sigma(o) = 3o
+    assert prod(primes(3, 17)) == 255_255 > isqrt(top)
+    assert abundancy_bound(primes(3, 13)) < 3
+    # 4. without 3, sigma(o) = 2o needs 7 primes, 6 of them squared
+    assert abundancy_bound(primes(5, 19)) < 2
+    assert prod(primes(5, 23)) * prod(primes(5, 19)) == 37_182_145 * 1_616_615 > top
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_multiperfect_search_matches_trial_division(threads, monkeypatch):
-    # every xmax <= 300, in one block and in blocks of 14 odd numbers
+    # every xmax <= 300, in one block and in blocks of 4 terms o = 9 (mod 36); below
+    # xmax = 8 (o = 9) the walk is empty and sieves nothing
+    sieved = []
+    real_table = arith.build_table
+
+    def table(lo, hi, *args, **kwargs):
+        sieved.append((lo, hi))
+        return real_table(lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(arith, "build_table", table)
     expected = []
     for xmax in range(1, 301):
         if brute.sigma(xmax) % xmax == 0 and brute.sigma(xmax + 1) % (xmax + 1) == 0:
             expected.append(xmax)
         assert consecutive_multiperfect_search(xmax, threads=threads) == expected, xmax
-    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 28)
-    assert equations._unit_span(0) == 14
+        if xmax == 7:
+            assert sieved == []
+    assert sieved[-1] == (9, 297)
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 8)
+    assert equations._unit_span(0) == 4
     for xmax in range(1, 301):
         assert consecutive_multiperfect_search(xmax, threads=threads) == expected, xmax
+    assert sorted(sieved[-3:]) == [(9, 117), (153, 261), (297, 297)]
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_multiperfect_search_finds_planted_pairs(threads, monkeypatch):
     # no m <= 20000 qualifies, so a scan that always answers [] would pass the tests
-    # above: plant sigma-like values, 2 * m, at chosen m, in the scan's step-2 tables of
-    # the odd o and in the scalar sigma that confirms each m in {o - 1, o}.  One pair's
-    # odd member ends a block and one's starts a block, each with its even partner across
-    # the block edge; a decoy o has partners that fail, so a scan that returns both
-    # neighbours of every odd hit unconfirmed fails too
+    # above: plant sigma-like values, 2 * m, at chosen m, in the scan's step-36 tables of
+    # the o = 9 (mod 36) and in the scalar sigma that confirms each m in {o - 1, o}.  One
+    # pair's odd member ends a block (m = o) and one's starts a block (m = o - 1); a decoy
+    # o has partners that fail, so a scan that returns both neighbours of every hit
+    # unconfirmed fails too
     monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 64)
-    span = equations._unit_span(0)  # odd numbers per block
-    last = 2 * (3 * span - 1) + 1  # the last odd number of block 2, m = last
-    first = 2 * (5 * span) + 1  # the first odd number of block 5, m = first - 1
-    decoy = 2 * (7 * span + 10) + 1
+    span = equations._unit_span(0)  # terms per block
+
+    def term(i):
+        return 9 + 36 * i
+
+    last = term(3 * span - 1)  # the last term of block 2, m = last
+    first = term(5 * span)  # the first term of block 5, m = first - 1
+    decoy = term(7 * span + 10)
     planted = {last, last + 1, first - 1, first, decoy}
     real_table, real_sigma = arith.build_table, arith.sigma
 
-    def planting(lo, hi, kind, step, **kwargs):  # the scan's step-2 sigma tables
+    def planting(lo, hi, kind, step, **kwargs):  # the scan's step-36 sigma tables
         out = real_table(lo, hi, kind, step=step, **kwargs)
         for o in planted:
-            if o % 2 and lo <= o <= hi:
-                out[(o - lo) // step] = 2 * o
+            if o % 36 == 9 and lo <= o <= hi:
+                out[(o - lo) // 36] = 2 * o
         return out
 
     def sigma(m):
@@ -443,7 +484,7 @@ def test_multiperfect_search_finds_planted_pairs(threads, monkeypatch):
 
     monkeypatch.setattr(arith, "build_table", planting)
     monkeypatch.setattr(arith, "sigma", sigma)
-    xmax = 2 * 9 * span
+    xmax = term(9 * span)
 
     def passes(m):
         return m in planted or brute.sigma(m) % m == 0

@@ -1,6 +1,8 @@
 import functools
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -163,6 +165,38 @@ def test_walk_from_5_is_empty_below_5():
         assert got == [(1, 0, [True])]
 
 
+def test_kept_scratch_per_thread(monkeypatch):
+    # each thread walks in its own kept segment buffer and kernel scratch: 4 threads
+    # counting at once, in 7-entry segments with a short switch interval, read the
+    # serial counts
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 28)
+    counters = (psi, phi_smooth_count, sigma_smooth_count)  # the oracle's columns
+    calls = [(i, x, y) for i in range(3) for x, y in ((3000, 10), (2999, 53))]
+    serial = [counters[i](x, y) for i, x, y in calls]
+    assert serial == [_oracle_counts(y)[x][i] for i, x, y in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda c: counters[c[0]](*c[1:]), calls * 4, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == serial * 4
+
+
+def test_segment_size_is_read_per_call(monkeypatch):
+    # the kept segment buffer is sized at every call: after a full-size count has grown
+    # it to 2**18 entries or more, a count at DEFAULT_SEGMENT = 28 still walks 7-entry segments
+    psi(6 * 2**18 + 5, 10)
+    assert smoothness._scratch.array("mask", 1, bool).base.size >= 2**18
+    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 28)
+    rule = smoothness._psi_rule(10)
+    sizes = [mask.size for _, _, mask in smoothness._segments((1, 5), 6, 300, rule)]
+    assert sizes == ([7] * 7 + [1]) * 2  # 50 terms in each walk
+    got = [psi(300, 10), phi_smooth_count(300, 10), sigma_smooth_count(300, 10)]
+    assert got == _oracle_counts(10)[300]
+
+
 @pytest.mark.parametrize("seg", [7, 28, 1 << 12])
 def test_split_thresholds_across_segments(monkeypatch, seg):
     # the prefixes of the step-6 walks from 1 and 5 that the heads read end inside a
@@ -195,6 +229,21 @@ def test_smooth_lookup_by_odd_part(y):
     vs = [v for v in range(1, 4 * x) if v // (v & -v) <= half]
     got = smoothness._smooth_lookup(table, y, np.array(vs, dtype=np.uint64))
     assert got.tolist() == [brute.largest_prime_factor(v) <= y for v in vs]
+
+
+def test_odd_index_matches_division():
+    # v >> (k + 1), k read from the double 2**k = v & -v, is odd // 2 for the odd part
+    # odd = v // (v & -v): at 1, at every power of 2 below 2**63, at random v, and at the
+    # last index of the table at the counters' cap x = 2**32 (odd part 2**31 - 1) and the
+    # first past it
+    rng = np.random.default_rng(28)
+    vs = [1, *(1 << k for k in range(63)), *rng.integers(1, 2**63, 2000).tolist()]
+    vs += [v << k for v in rng.integers(1, 2**20, 200).tolist() for k in (1, 7, 40)]
+    size = ((2**32 + 1) // 2 + 1) // 2  # the table's entries at x = 2**32
+    vs += [odd << k for odd in (2 * size - 1, 2 * size + 1) for k in range(32)]
+    got = smoothness._odd_index(np.array(vs, dtype=np.uint64)).tolist()
+    assert got == [v // (v & -v) >> 1 for v in vs]
+    assert got[-64] == size - 1 and got[-1] == size
 
 
 def _count_S_marks(x, y):
