@@ -30,10 +30,13 @@ SCALAR_LIMIT = 1 << 63
 TABLE_LIMIT = 1 << 48
 U64_MAX = (1 << 64) - 1
 
-# Entries per sieve segment, per chunk of a segment's cofactor pass, and
-# (about) per chunk of its hit tier; and the least prime of the hit tier.
-# Tuning only: results must not depend on them.
-DEFAULT_SEGMENT = 1 << 20
+# Entries per kernel segment at every step, per chunk of a segment's cofactor
+# pass, and (about) per chunk of its hit tier; and the least prime of the hit
+# tier.  Tuning only: results must not depend on them.  Every block size and
+# the work cap's unit are multiples of SEGMENT: one segment keeps the kernel's
+# scratch small, and only the primes below _HIT_TIER cost a Python iteration
+# per segment, so more segments cost little.
+SEGMENT = 1 << 18
 _TAIL_CHUNK = 1 << 16
 _HIT_CHUNK = 1 << 14
 _HIT_TIER = 1 << 8
@@ -154,10 +157,10 @@ def _step_inverses(step: int, primes: np.ndarray) -> np.ndarray:
 # sigma(n + 1) over 2**22 n near 10**10 took 0.086 s), in one process on a
 # 2-vCPU Xeon (medians of 3).
 # _WORK_LIMIT caps a search's sieve work, counted as the base primes of its
-# tables, summed over tables and over units of 2**20 / a values of n but at
-# least one kernel segment (equations._span; not blocks, which a halo under
-# a quarter segment makes shorter, nor a caller's block_size): a two-table
-# unit search over 10**10 n with arguments up to 2 * 10**10, 2 x
+# tables, summed over tables and over units of 4 * SEGMENT / a values of n
+# but at least one kernel segment (equations._span; not blocks, which a halo
+# under a quarter segment makes shorter, nor a caller's block_size): a
+# two-table unit search over 10**10 n with arguments up to 2 * 10**10, 2 x
 # ceil(10**10 / 2**20) units x pi(isqrt(2 * 10**10)) primes, ~2.5 * 10**8.
 # No table loops over its base primes: at every step the kernel loops only
 # over the primes from 11 below 2**8, copies 2, 3, 5 and 7 from its wheel
@@ -168,7 +171,7 @@ def _step_inverses(step: int, primes: np.ndarray) -> np.ndarray:
 # that vectorised work loosely at every step.
 _MEMORY_BUDGET = 1 << 30
 _SIEVE_LIMIT = 10**10
-_WORK_LIMIT = 2 * -(-_SIEVE_LIMIT // DEFAULT_SEGMENT) * _simple_primes(isqrt(2 * _SIEVE_LIMIT)).size
+_WORK_LIMIT = 2 * -(-_SIEVE_LIMIT // (4 * SEGMENT)) * _simple_primes(isqrt(2 * _SIEVE_LIMIT)).size
 
 # factorize trial-divides by the primes below this bound and hands the
 # cofactor to rho; any cofactor below its square is 1 or a prime.
@@ -366,15 +369,6 @@ def radical(n: int) -> int:
     for p, _ in factorize(n):
         total *= p
     return total
-
-
-def _segment() -> int:
-    """Entries per kernel segment, at every step: a quarter of DEFAULT_SEGMENT,
-    which keeps the kernel's per-segment scratch small.  Only the primes
-    below _HIT_TIER cost a Python iteration per segment, so more segments
-    cost little.
-    """
-    return max(1, DEFAULT_SEGMENT >> 2)
 
 
 def _runs(starts: np.ndarray, strides: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -749,12 +743,12 @@ def build_table(
     which _base_primes sieves once for every table after it.  The table's
     _Walk is built once per call, from a wheel lookup built once per Kind
     and, at step > 1, from step's inverses and wheel pattern, built once per
-    step; then the kernel walks the terms in segments of _segment() entries,
-    DEFAULT_SEGMENT / 4 at every step, so its scratch stays a fraction of
-    the output, and every segment reuses it.  Each segment copies the wheel,
-    loops over the primes from 11 below _HIT_TIER, applies the larger ones
-    by their hits, and divides out the cofactor in float64.  An output over
-    _MEMORY_BUDGET bytes is refused with CapacityError.
+    step; then the kernel walks the terms in segments of SEGMENT entries at
+    every step, so its scratch stays a fraction of the output, and every
+    segment reuses it.  Each segment copies the wheel, loops over the primes
+    from 11 below _HIT_TIER, applies the larger ones by their hits, and
+    divides out the cofactor in float64.  An output over _MEMORY_BUDGET
+    bytes is refused with CapacityError.
 
     The result is a fresh array.  out and scratch are internal, for the
     workers of search and consecutive_multiperfect_search, which sieve every
@@ -781,9 +775,8 @@ def build_table(
     # int64 products exact
     step = min(step, hi - lo + 1)
     walk = _walk(lo, step, out.size, kind.local, _kind_lookup(kind), _base_primes(isqrt(hi)))
-    segment = _segment()
-    for i in range(0, out.size, segment):
-        _sieve_segment(lo + i * step, walk, out[i : i + segment], scratch)
+    for i in range(0, out.size, SEGMENT):
+        _sieve_segment(lo + i * step, walk, out[i : i + SEGMENT], scratch)
     return out
 
 
@@ -798,13 +791,6 @@ def largest_factor_table(limit: int) -> np.ndarray:
         raise UsageError(f"limit must be >= 1, got {limit}")
     _check_bytes(8 * (limit + 1))
     out = np.ones(limit + 1, dtype=np.uint64)
-    for p in _simple_primes(isqrt(limit)).tolist():
+    for p in _simple_primes(limit).tolist():
         out[p::p] = p  # ascending primes: the last write wins
-    # the n > 1 still at 1 are the primes above isqrt(limit); n <= limit has at
-    # most one such factor, its largest: write each at its multiples p*m, m by m
-    large = np.flatnonzero(out[2:] == 1) + 2
-    for m in count(1):
-        ps = large[: np.searchsorted(large, limit // m, side="right")]
-        if ps.size == 0:
-            return out
-        out[ps * m] = ps
+    return out

@@ -154,8 +154,8 @@ def _scan_block(
 
 
 def _span(spec: EquationSpec) -> int:
-    """2**20 / max(a1, a2) values of n, but at least one kernel segment."""
-    return max(arith._segment(), arith.DEFAULT_SEGMENT // max(spec.a1, spec.a2))
+    """4 * SEGMENT / max(a1, a2) values of n, but at least one kernel segment."""
+    return max(arith.SEGMENT, 4 * arith.SEGMENT // max(spec.a1, spec.a2))
 
 
 def _check_work(spec: EquationSpec, lo: int, hi: int) -> None:
@@ -167,7 +167,8 @@ def _check_work(spec: EquationSpec, lo: int, hi: int) -> None:
     largest argument, and its kernel segments take those that hit all at
     once, with no Python loop over them.  So no default block is shorter
     than one segment, and the work is counted as tables x units x
-    pi(isqrt(largest argument)) in units of _span(spec) values of n.
+    pi(isqrt(largest argument)) in units of _span(spec) = max(SEGMENT,
+    4 * SEGMENT / max(a1, a2)) values of n.
     """
     if hi < lo:
         return
@@ -181,24 +182,6 @@ def _check_work(spec: EquationSpec, lo: int, hi: int) -> None:
         raise CapacityError(
             f"search would sieve with {work} base primes, over the {arith._WORK_LIMIT} limit"
         )
-
-
-def _unit_span(halo: int) -> int:
-    """Values of n per block whose one table, at any step, reaches halo entries
-    past the block, so that the table is two whole kernel segments (at least 1).
-
-    One segment per table was tried when every block allocated its own
-    table: glibc trimmed the heap after each block and the next block
-    faulted it back in (~15,900 minor page faults per search of f(n) =
-    f(n + 1) to 2 * 10**6 for both functions, against ~24).  With a
-    search's workers reusing their buffers from block to block it is still
-    slower: repeating that pair of searches (with --classify, through the
-    CLI) for 5 s in a fresh process, after a warm-up at 2 * 10**4, took
-    54.6-56.2 ms per pair at one segment against 52.8-53.5 ms at two, and
-    faulted 2,456 pages per pair against none after the first pair (medians
-    of 89-95 pairs, 3 alternating processes each, 2-vCPU Xeon).
-    """
-    return max(1, 2 * arith._segment() - halo)
 
 
 def search(
@@ -217,9 +200,9 @@ def search(
     is refused with CapacityError before any sieving, at any multipliers.
 
     A default block of f(a*n + b1) = f(a*n + b2) with a halo h = |b2 - b1|
-    / a < 2**16 holds 2**19 - h values of n, so that its one table is two
-    whole kernel segments, at any step; every other default block holds
-    _span(spec) values of n.
+    / a < SEGMENT / 4 holds 2 * SEGMENT - h values of n, so that its one
+    table is two whole kernel segments, at any step; every other default
+    block holds _span(spec) values of n.
     """
     if xmax < 1:
         raise UsageError(f"xmax must be >= 1, got {xmax}")
@@ -227,8 +210,18 @@ def search(
     _check_work(spec, lo, xmax)
     if block_size is None:
         # two-segment blocks only while the halo is under a quarter segment:
-        # longer halos sieve more per n in them than in 2**20-value blocks
-        # (phi(n) = phi(n + 2**18 - 1) to 4 * 10**6: 0.17 -> 0.26 s, 2-vCPU Xeon)
-        two = _one_table(spec, arith._segment() >> 2)
-        block_size = _unit_span(abs(spec.b2 - spec.b1) // spec.a1) if two else _span(spec)
+        # longer halos sieve more per n in them than in 4 * SEGMENT-value blocks
+        # (phi(n) = phi(n + 2**18 - 1) to 4 * 10**6: 0.17 -> 0.26 s, 2-vCPU Xeon).
+        # Not one segment per table: when every block allocated its own table,
+        # glibc trimmed the heap after each block and the next block faulted it
+        # back in (~15,900 minor page faults per search of f(n) = f(n + 1) to
+        # 2 * 10**6 for both functions, against ~24).  With a search's workers
+        # reusing their buffers from block to block it is still slower:
+        # repeating that pair of searches (with --classify, through the CLI) for
+        # 5 s in a fresh process, after a warm-up at 2 * 10**4, took 54.6-56.2 ms
+        # per pair at one segment against 52.8-53.5 ms at two, and faulted 2,456
+        # pages per pair against none after the first pair (medians of 89-95
+        # pairs, 3 alternating processes each, 2-vCPU Xeon).
+        two = _one_table(spec, arith.SEGMENT >> 2)
+        block_size = 2 * arith.SEGMENT - abs(spec.b2 - spec.b1) // spec.a1 if two else _span(spec)
     return _map_blocks(partial(_scan_block, spec), lo, xmax, block_size, threads)

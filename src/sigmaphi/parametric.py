@@ -22,7 +22,7 @@ from math import gcd
 import numpy as np
 
 from . import arith
-from .equations import EquationSpec, Kind, _map_blocks, _unit_span, search
+from .equations import EquationSpec, Kind, _map_blocks, search
 from .errors import CapacityError, IntegrityError, UsageError
 
 
@@ -280,8 +280,9 @@ def consecutive_multiperfect_search(xmax: int, threads: int = 1) -> list[int]:
     Touchard ("On prime numbers and perfect numbers", Scripta Math. 19, 1953) gives the
     general form of this congruence for odd perfect numbers.  So the scan sieves sigma at
     the o = 9 + 36*i <= xmax + 1 alone, 1/18 of the odd numbers, as step-36 tables over
-    blocks of indices i, and confirms each m in {o - 1, o} of a hit o with scalar sigma, so
-    the pairs do not depend on the block edges.  No odd o > 1 with o | sigma(o) (an odd
+    blocks of 2 * SEGMENT indices i (two whole kernel segments each), and confirms each m
+    in {o - 1, o} of a hit o with scalar sigma, so the pairs do not depend on the block
+    edges.  No odd o > 1 with o | sigma(o) (an odd
     multiperfect number) is known, so the confirmations cost next to nothing.
     """
     if xmax < 1:
@@ -307,4 +308,4 @@ def consecutive_multiperfect_search(xmax: int, threads: int = 1) -> list[int]:
         return [m for o in hits for m in (o - 1, o) if qualifies(m)]
 
     # (xmax - 8) // 36 is the last i with 9 + 36*i <= xmax + 1, and -1 below xmax = 8
-    return _map_blocks(scan, 0, (xmax - 8) // 36, _unit_span(0), threads)
+    return _map_blocks(scan, 0, (xmax - 8) // 36, 2 * arith.SEGMENT, threads)

@@ -63,13 +63,13 @@ def _segments(residues, step: int, x: int, local, bound: int | None = None):
     primes <= min(bound, isqrt(x)), and hands it the rest of each m as one cofactor, which
     bound is for the caller to make exact.  The rule's wheel lookup and the base primes are
     built once, for every walk; each walk's primes and inverses of step once, for every
-    segment.  The segment buffer, of _segment() entries, and the kernel's scratch come from
+    segment.  The segment buffer, of SEGMENT entries, and the kernel's scratch come from
     the calling thread's _scratch, kept from call to call, so one thread walks one
     _segments at a time.
     """
     top = math.isqrt(x) if bound is None else min(bound, math.isqrt(x))
     lookup, primes = arith._wheel_lookup(local), arith._base_primes(top)
-    buffer = _scratch.array("mask", arith._segment(), bool)
+    buffer = _scratch.array("mask", arith.SEGMENT, bool)
     for r in residues:
         size = max(0, (x - r) // step + 1)
         walk = arith._walk(r, step, size, local, lookup, primes)

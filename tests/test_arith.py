@@ -28,7 +28,7 @@ from sigmaphi import (
     search,
     sigma,
 )
-from sigmaphi.arith import DEFAULT_SEGMENT, _simple_primes
+from sigmaphi.arith import SEGMENT, _simple_primes
 
 
 @pytest.mark.parametrize(
@@ -236,8 +236,8 @@ def test_table_matches_scalars_across_2_32(monkeypatch):
     # and cofactor chunks here fall on both sides of it and straddle it
     lo, hi = (1 << 32) - 1000, (1 << 32) + 1000
     expected = _scalar_values(lo, hi)
-    for seg, chunk in ((7, 3), (1000, 64), (DEFAULT_SEGMENT, arith._TAIL_CHUNK)):
-        monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
+    for seg, chunk in ((1, 3), (250, 64), (SEGMENT, arith._TAIL_CHUNK)):
+        monkeypatch.setattr(arith, "SEGMENT", seg)
         monkeypatch.setattr(arith, "_TAIL_CHUNK", chunk)
         for kind in Kind:
             assert build_table(lo, hi, kind).tolist() == expected[kind], (seg, chunk, kind)
@@ -245,10 +245,10 @@ def test_table_matches_scalars_across_2_32(monkeypatch):
 
 # A unit-step segment copies the wheel (2, 3, 5, 7, period 88200) from lo mod 88200,
 # loops over the primes from 11 below 2**8 and applies the rest by their hits.
-# DEFAULT_SEGMENT = 1 and 7 give 1-entry segments, which copy one wheel entry each and send
-# every base prime past 2**8 to the hit tier on its own; 2**12 and 2**20 give 2**10- and
-# 2**18-entry segments, which copy several periods and meet many primes in each tier.
-SEGMENTS = (1, 7, 1 << 12, 1 << 20)
+# 1-entry segments copy one wheel entry each and send every base prime past 2**8 to the
+# hit tier on its own; 2**10- and 2**18-entry segments copy several periods and meet many
+# primes in each tier.
+SEGMENTS = (1, 1 << 10, 1 << 18)
 WHEEL = 88200
 
 
@@ -296,8 +296,8 @@ def test_unit_tables_match_scalars_at_any_threshold(monkeypatch):
         expected = _scalar_values(lo, hi)
         for seg in SEGMENTS:
             # a 1-entry segment reduces lo modulo every base prime, so those run on 8 terms
-            top = hi if seg > 7 else lo + 7
-            monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
+            top = hi if seg > 1 else lo + 7
+            monkeypatch.setattr(arith, "SEGMENT", seg)
             for kind in Kind:
                 table = build_table(lo, top, kind).tolist()
                 assert table == expected[kind][: top - lo + 1], (lo, seg, kind)
@@ -326,8 +326,8 @@ def test_vectorised_primes_share_a_term(monkeypatch):
         lo, hi = n - 2048, n + 2047
         assert all(is_prime(p) for p, _ in factors)
         expected = _scalar_values(lo, hi)
-        for seg in (DEFAULT_SEGMENT, 1 << 12):
-            monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
+        for seg in (SEGMENT, 1 << 10):
+            monkeypatch.setattr(arith, "SEGMENT", seg)
             for kind in Kind:
                 values = build_table(lo, hi, kind).tolist()
                 assert values == expected[kind], (n, kind, seg)
@@ -351,22 +351,22 @@ def test_stepped_tables_match_scalars_at_random_offsets(monkeypatch):
     rng = random.Random(20100601)
     # steps with small prime factors, so that some primes divide every term or none
     steps = [rng.choice((1, 2, 6, 30, 210)) * rng.randrange(1, 40) for _ in range(6)]
-    cases = [(rng.randrange(1, 1 << 47), step, 100, [DEFAULT_SEGMENT]) for step in steps]
-    # DEFAULT_SEGMENT = 28 gives 7-entry segments
-    cases += [(lo, step, 60, [28, DEFAULT_SEGMENT]) for lo, step in PERIOD_STEPS]
+    cases = [(rng.randrange(1, 1 << 47), step, 100, [SEGMENT]) for step in steps]
+    # 7-entry segments as well as the default
+    cases += [(lo, step, 60, [7, SEGMENT]) for lo, step in PERIOD_STEPS]
     # steps with a prime factor f >= 2**8, which divides every term or none: lo near
     # 2**47 coprime to f, a multiple of f, and a multiple of f*f
     for step, f in ((257, 257), (2 * 263, 263), (3 * 1009, 1009)):
         lo = rng.randrange(1 << 46, 1 << 47)
         for start in (lo + (lo % f == 0), lo - lo % f, lo - lo % (f * f)):
-            cases.append((start, step, 60, [28, DEFAULT_SEGMENT]))
+            cases.append((start, step, 60, [7, SEGMENT]))
     for lo, step, terms, segments in cases:
         hi = lo + terms * step
         facs = [factorize(n) for n in range(lo, hi + 1, step)]
         for kind in Kind:
             expected = [arith._value(kind, n, f) for n, f in zip(range(lo, hi + 1, step), facs)]
             for seg in segments:
-                monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
+                monkeypatch.setattr(arith, "SEGMENT", seg)
                 stepped = build_table(lo, hi, kind, step=step).tolist()
                 monkeypatch.undo()
                 assert stepped == expected, (lo, step, kind, seg)
@@ -420,8 +420,8 @@ def test_stepped_table_matches_dense(step, monkeypatch):
         for kind in Kind:
             dense = build_table(lo, hi, kind)[::step]
             # 1- and 7-entry segments, and the default
-            for seg in (1, 28, DEFAULT_SEGMENT):
-                monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
+            for seg in (1, 7, SEGMENT):
+                monkeypatch.setattr(arith, "SEGMENT", seg)
                 stepped = build_table(lo, hi, kind, step=step)
                 monkeypatch.undo()
                 assert np.array_equal(stepped, dense), (lo, kind, seg)
@@ -442,8 +442,8 @@ def test_stepped_table_at_capacity(step):
 def test_segment_size_independence(monkeypatch):
     for kind in Kind:
         base = build_table(1, 5000, kind)
-        for seg in (1, 7, 64, 4096):
-            monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
+        for seg in (1, 16, 1024):
+            monkeypatch.setattr(arith, "SEGMENT", seg)
             assert np.array_equal(base, build_table(1, 5000, kind))
             monkeypatch.undo()
 
@@ -495,18 +495,9 @@ def test_largest_factor_table():
     assert lpf[1] == 1
     for n in range(1, 20_001):
         assert int(lpf[n]) == brute.largest_prime_factor(n)
-    # limits 1-3 have no base prime <= isqrt(limit): every n > 1 is read off as prime
+    # small limits, whose last primes write only themselves, give the same prefix
     for limit in range(1, 65):
         assert largest_factor_table(limit).tolist() == lpf[: limit + 1].tolist()
-
-
-def test_largest_factor_table_matches_strided_writes():
-    # one strided write per prime, ascending, so the largest prime writes last
-    limit = 200_000
-    old = np.ones(limit + 1, dtype=np.uint64)
-    for p in _simple_primes(limit).tolist():
-        old[p::p] = p
-    assert np.array_equal(largest_factor_table(limit), old)
 
 
 def test_primes_upto():

@@ -81,6 +81,21 @@ def test_search_stdout_bytes_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fn
 
 
+# phi(1000n) = phi(999n + 7) to 10**6: step-1000 and step-999 tables in four blocks of
+# one kernel segment (2**18 values of n), with 9 hits
+STEP_1000 = ["search", "--fn", "phi", "--a1", "1000", "--b1", "0", "--a2", "999", "--b2", "7",
+             "--max", "1000000"]
+STEP_1000_DIGEST = "3460b26b70a748cf5327fa4b6add6529d1393342f0cce14c008384e4ff49bb85"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_step_1000_search_stdout_bytes_pinned(capsys, threads):
+    code, out, _ = invoke([*STEP_1000, "--threads", threads], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 10
+    assert hashlib.sha256(out.encode()).hexdigest() == STEP_1000_DIGEST
+
+
 def test_search_classify_column(capsys):
     code, out, _ = invoke(
         ["search", *EQ_SIGMA22, "--max", "500", "--classify"], capsys

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 import brute
-from sigmaphi import arith, equations
+from sigmaphi import arith, equations, parametric
 from sigmaphi import (
     CapacityError,
     EquationSpec,
     Kind,
     UsageError,
     classify,
+    consecutive_multiperfect_search,
     count_sporadic,
     phi,
     search,
@@ -155,8 +156,8 @@ def test_search_validation():
 # a1 == a2 == a with both signs of d = b2 - b1 and a | d (one table per block
 # once the halo h = |d| / a is shorter than the block), and a not dividing d
 # (two tables per block); entries are (a, b1, b2).  The unit shifts 1, 2, 15
-# and 16 are, at a 256-entry DEFAULT_SEGMENT, the halos 1, 2, 2**16 - 1 and
-# 2**16 of the full-size default blocks.
+# and 16 are, at 64-entry segments, the halos 1, 2, 2**16 - 1 and 2**16 of
+# the full-size default blocks.
 ONE_PROGRESSION = [(1, 0, 5), (1, 7, 0), (2, 1, 9), (2, 11, 1), (3, 2, 14), (3, 10, -2),
                    (2, 0, 3), (3, 1, 5), (1, 0, 1), (1, 0, 2), (1, 0, 15), (1, 0, 16)]
 
@@ -173,7 +174,7 @@ def test_one_progression_search_matches_brute(kind, a, b1, b2, monkeypatch):
             assert [r.n for r in got] == want, (block_size, threads)
     # 64-entry segments at any step: 600 values of n cross several default
     # blocks, 128 - h values of n each below a halo h of 16 and 256 // a from there on
-    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 256)
+    monkeypatch.setattr(arith, "SEGMENT", 64)
     for threads in (1, 3):
         got = search(EquationSpec(kind, a, b1, a, b2), 600, threads)
         assert [r.n for r in got] == want, threads
@@ -196,6 +197,29 @@ def test_default_blocks_at_the_halo_cutoff(h):
     assert len(got) > 10
     for rec in got:
         assert phi(rec.arg1) == phi(rec.arg2) == rec.value
+
+
+def test_default_sizes_are_whole_segments(monkeypatch):
+    # every default sieve size is stated in 2**18-entry kernel segments: the blocks of
+    # DEFAULT_SPANS and of other multipliers, max(2**18, 2**20 // max(a1, a2)) values of
+    # n, and the multiperfect scan's blocks of 2**19 indices
+    assert arith.SEGMENT == 2**18
+    spans = []
+
+    def map_blocks(scan, lo, hi, span, threads):
+        spans.append(span)
+        return []
+
+    monkeypatch.setattr(equations, "_map_blocks", map_blocks)
+    monkeypatch.setattr(parametric, "_map_blocks", map_blocks)
+    sizes = {**DEFAULT_SPANS, (2, 1, 3, 1): 2**20 // 3, (5, 0, 4, 1): 2**18}
+    for coeffs, span in sizes.items():
+        spans.clear()
+        search(EquationSpec(Kind.SIGMA, *coeffs), 10**6)
+        assert spans == [span], coeffs
+    spans.clear()
+    consecutive_multiperfect_search(10**6)
+    assert spans == [2**19]
 
 
 def test_search_sieves_base_primes_once(monkeypatch):
@@ -252,10 +276,10 @@ def test_tables_per_block(monkeypatch, coeffs, block_size, tables):
         assert {(hi - lo) // step + 1 for lo, hi, step in calls} == {span}
 
 
-# at a 256-entry DEFAULT_SEGMENT, 256 // a values of n is under one 64-entry kernel
-# segment from a = 5 on, so these default blocks are one segment: two tables (affine),
-# one table with a halo of 20 (a quarter segment or more) and two tables off one
-# progression (a does not divide 3); with a halo of 3 the one table is two segments
+# at 64-entry kernel segments, 4 * 64 // a values of n is under one segment from a = 5 on,
+# so these default blocks are one segment: two tables (affine), one table with a halo of
+# 20 (a quarter segment or more) and two tables off one progression (a does not divide
+# 3); with a halo of 3 the one table is two segments
 def floored(a):
     return {(a, 0, a - 1, 7): 64, (a, 1, a, 1 + 20 * a): 64, (a, 0, a, 3): 64,
             (a, 2, a, 2 + 3 * a): 125}
@@ -264,7 +288,7 @@ def floored(a):
 @pytest.mark.parametrize("kind", list(Kind))
 @pytest.mark.parametrize("a", [5, 7, 1000])
 def test_floored_blocks_match_brute(kind, a, monkeypatch):
-    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 256)
+    monkeypatch.setattr(arith, "SEGMENT", 64)
     spans = []
     real = equations._map_blocks
 
@@ -308,9 +332,9 @@ def test_work_cap_ignores_block_size(monkeypatch, coeffs, xmax, admitted):
 
 
 def test_work_limit():
-    blocks = -(-arith._SIEVE_LIMIT // arith.DEFAULT_SEGMENT)
+    blocks = -(-arith._SIEVE_LIMIT // (4 * arith.SEGMENT))
     primes = arith._simple_primes(isqrt(2 * arith._SIEVE_LIMIT)).size
-    assert arith._WORK_LIMIT == 2 * blocks * primes
+    assert arith._WORK_LIMIT == 2 * blocks * primes == 250_479_768
     # ~4 * 10**12 base primes counted (some 11 hours of sieving), refused before any sieve
     with pytest.raises(CapacityError, match="base primes"):
         search(EquationSpec(Kind.PHI, 1000, 0, 1, 1), 10**10)

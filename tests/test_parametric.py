@@ -19,7 +19,6 @@ from sigmaphi import (
     consecutive_multiperfect_search,
     derive_family,
     enumerate_families,
-    equations,
     generate,
     ghp_generate,
     parametric,
@@ -396,7 +395,7 @@ def test_multiperfect_search_blocks_match(monkeypatch):
             ms.append(m)
     assert consecutive_multiperfect_search(1999) == ms
     # 56 terms o = 9 (mod 36) in blocks of 4
-    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 8)
+    monkeypatch.setattr(arith, "SEGMENT", 2)
     assert consecutive_multiperfect_search(1999, threads=3) == ms
     # the perfect number 6: its odd neighbours 5 and 7 are not 9 mod 36, and the walk is empty
     assert consecutive_multiperfect_search(6) == []
@@ -445,8 +444,7 @@ def test_multiperfect_search_matches_trial_division(threads, monkeypatch):
         if xmax == 7:
             assert sieved == []
     assert sieved[-1] == (9, 297)
-    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 8)
-    assert equations._unit_span(0) == 4
+    monkeypatch.setattr(arith, "SEGMENT", 2)
     for xmax in range(1, 301):
         assert consecutive_multiperfect_search(xmax, threads=threads) == expected, xmax
     assert sorted(sieved[-3:]) == [(9, 117), (153, 261), (297, 297)]
@@ -460,8 +458,8 @@ def test_multiperfect_search_finds_planted_pairs(threads, monkeypatch):
     # pair's odd member ends a block (m = o) and one's starts a block (m = o - 1); a decoy
     # o has partners that fail, so a scan that returns both neighbours of every hit
     # unconfirmed fails too
-    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 64)
-    span = equations._unit_span(0)  # terms per block
+    monkeypatch.setattr(arith, "SEGMENT", 16)
+    span = 32  # terms per block, two segments
 
     def term(i):
         return 9 + 36 * i

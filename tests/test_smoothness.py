@@ -124,21 +124,20 @@ def _prefix_ends(x, size):
 
 
 def test_counters_at_small_segments(monkeypatch):
-    # DEFAULT_SEGMENT = 7 gives 1-entry segments, each copying one entry of the kernel's
-    # wheel, here on bool outputs; 28 and 2**12 give 7- and 1024-entry segments, which copy
-    # it across segment edges, and at x = 6 * size and 6 * size + 5 the prefixes of both
-    # walks end on segment edges, inside segments and in a last, partial one.  No x reaches
-    # the hit tier's primes (from 2**8); the 2**20 + 2000 of test_counters_span_segments does
-    for seg, xs in ((7, [300]), (28, [42, 47, 300]), (1 << 12, [3000, 6144, 6149])):
-        monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
-        size = arith._segment()
+    # 1-entry segments each copy one entry of the kernel's wheel, here on bool outputs;
+    # 7- and 1024-entry segments copy it across segment edges, and at x = 6 * size and
+    # 6 * size + 5 the prefixes of both walks end on segment edges, inside segments and in
+    # a last, partial one.  No x reaches the hit tier's primes (from 2**8); the 2**20 +
+    # 2000 of test_counters_span_segments does
+    for size, xs in ((1, [300]), (7, [42, 47, 300]), (1 << 10, [3000, 6144, 6149])):
+        monkeypatch.setattr(arith, "SEGMENT", size)
         if size > 1:
             places = set().union(*(_prefix_ends(x, size) for x in xs))
             assert places == {(r, p) for r in (1, 5) for p in ("edge", "inside", "last")}
         for x in xs:
             for y in (1, 2, 2.5, 3, 10, 53, x + 2):
                 got = [psi(x, y), phi_smooth_count(x, y), sigma_smooth_count(x, y)]
-                assert got == _oracle_counts(y)[x], (seg, x, y)
+                assert got == _oracle_counts(y)[x], (size, x, y)
         monkeypatch.undo()
 
 
@@ -169,7 +168,7 @@ def test_kept_scratch_per_thread(monkeypatch):
     # each thread walks in its own kept segment buffer and kernel scratch: 4 threads
     # counting at once, in 7-entry segments with a short switch interval, read the
     # serial counts
-    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 28)
+    monkeypatch.setattr(arith, "SEGMENT", 7)
     counters = (psi, phi_smooth_count, sigma_smooth_count)  # the oracle's columns
     calls = [(i, x, y) for i in range(3) for x, y in ((3000, 10), (2999, 53))]
     serial = [counters[i](x, y) for i, x, y in calls]
@@ -186,10 +185,10 @@ def test_kept_scratch_per_thread(monkeypatch):
 
 def test_segment_size_is_read_per_call(monkeypatch):
     # the kept segment buffer is sized at every call: after a full-size count has grown
-    # it to 2**18 entries or more, a count at DEFAULT_SEGMENT = 28 still walks 7-entry segments
+    # it to 2**18 entries or more, a count at SEGMENT = 7 still walks 7-entry segments
     psi(6 * 2**18 + 5, 10)
     assert smoothness._scratch.array("mask", 1, bool).base.size >= 2**18
-    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", 28)
+    monkeypatch.setattr(arith, "SEGMENT", 7)
     rule = smoothness._psi_rule(10)
     sizes = [mask.size for _, _, mask in smoothness._segments((1, 5), 6, 300, rule)]
     assert sizes == ([7] * 7 + [1]) * 2  # 50 terms in each walk
@@ -197,12 +196,11 @@ def test_segment_size_is_read_per_call(monkeypatch):
     assert got == _oracle_counts(10)[300]
 
 
-@pytest.mark.parametrize("seg", [7, 28, 1 << 12])
-def test_split_thresholds_across_segments(monkeypatch, seg):
+@pytest.mark.parametrize("size", [1, 7, 1 << 10])
+def test_split_thresholds_across_segments(monkeypatch, size):
     # the prefixes of the step-6 walks from 1 and 5 that the heads read end inside a
     # segment, on a segment edge, or in a last, partial segment, in both walks
-    monkeypatch.setattr(arith, "DEFAULT_SEGMENT", seg)
-    size = arith._segment()
+    monkeypatch.setattr(arith, "SEGMENT", size)
     if size == 1:  # every prefix ends on an edge
         xs, places = range(1, 65), {"edge"}
     else:
@@ -214,7 +212,7 @@ def test_split_thresholds_across_segments(monkeypatch, seg):
         oracle = _oracle_counts(y)
         for x in xs:
             got = [psi(x, y), phi_smooth_count(x, y), sigma_smooth_count(x, y)]
-            assert got == oracle[x], (seg, x, y)
+            assert got == oracle[x], (size, x, y)
 
 
 @pytest.mark.parametrize("y", [1, 1.5, 2, 3, 10, 100])

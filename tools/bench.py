@@ -39,6 +39,9 @@ E2E = [
     ("search-phi-shift1-1e7-classify",
      ["search", "--fn", "phi", *SHIFT1, "--max", "10000000", "--classify"],
      "9281f72a6a473f5e", None),
+    ("search-phi-step1000-1e6",
+     ["search", "--fn", "phi", "--a1", "1000", "--b1", "0", "--a2", "999", "--b2", "7",
+      "--max", "1000000"], "3460b26b70a748cf", None),
     ("audit-phi-shift1-1e6", ["audit", "--fn", "phi", *SHIFT1, "--max", "1000000"],
      "4ae906603b8b9cff", None),
     ("audit-sigma-shift1-1e6", ["audit", "--fn", "sigma", *SHIFT1, "--max", "1000000"],
