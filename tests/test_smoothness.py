@@ -196,7 +196,7 @@ def test_segment_size_is_read_per_call(monkeypatch):
     assert got == _oracle_counts(10)[300]
 
 
-@pytest.mark.parametrize("size", [1, 7, 1 << 10])
+@pytest.mark.parametrize("size", [1, 7, 28, 1 << 10])
 def test_split_thresholds_across_segments(monkeypatch, size):
     # the prefixes of the step-6 walks from 1 and 5 that the heads read end inside a
     # segment, on a segment edge, or in a last, partial segment, in both walks
