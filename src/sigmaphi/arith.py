@@ -19,7 +19,7 @@ import threading
 from collections.abc import Callable
 from functools import cache, lru_cache
 from itertools import count, product
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, log, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -63,7 +63,7 @@ _base_lock = threading.Lock()
 class _Step:
     """What walks at one step > 1 share, its arrays read-only, so that a
     search's blocks, on any thread, and the calls that walk step while it
-    stays among the last three steps (_step) build them once: patterns
+    stays among the last two steps (_step) build them once: patterns
     holds the wheel's pattern along every progression at step (176 KB; see
     _pattern), built with the _Step, and inverses[i] step⁻¹ mod the i-th
     prime from 2, or 0 where it divides step, for as many primes as walks
@@ -80,11 +80,10 @@ class _Step:
         self.patterns.flags.writeable = False  # walks on other threads share it
 
 
-# The _Step of each of the three steps walked last: a search walks at most
-# two, a1 and a2, and a smooth count then the multiperfect search walk three,
-# 2 (the y-smooth table), 6 (the counts) and 36 (the multiperfect scan), each
-# _Step taking 1.3-2.2 ms to build.
-_step = lru_cache(maxsize=3)(_Step)
+# The _Step of each of the two steps walked last: a search walks at most two,
+# a1 and a2, and a smooth count two, 2 (the y-smooth table) and 6 (the
+# counts), each _Step taking 1.3-2.2 ms to build.
+_step = lru_cache(maxsize=2)(_Step)
 
 
 def _base_primes(limit: int) -> np.ndarray:
@@ -147,9 +146,9 @@ def _step_inverses(step: int, primes: np.ndarray) -> np.ndarray:
 
 # Up-front limits, so that a request which would exhaust memory or sieve for
 # days is refused with CapacityError instead.  _MEMORY_BUDGET caps, in bytes,
-# the 8 B per entry table that build_table or largest_factor_table allocates
-# and the y-smooth table of the sigma and phi smooth counters, 1 B per odd
-# number up to (x + 1) // 2.
+# the 8 B per entry table that build_table allocates, largest_factor_table's
+# table with its prime sieve and primes, and the y-smooth table of the sigma
+# and phi smooth counters, 1 B per odd number up to (x + 1) // 2.
 # _SIEVE_LIMIT caps how many integers one block map or one smooth counter
 # walks: ~0.3-1 min for psi, which sieves only the m prime to 6 (psi(10**8,
 # 100) took 0.19 s and psi(10**8, 10**5) 0.53 s), and ~3.5 min for a one-table
@@ -751,10 +750,10 @@ def build_table(
     bytes is refused with CapacityError.
 
     The result is a fresh array.  out and scratch are internal, for the
-    workers of search and consecutive_multiperfect_search, which sieve every
-    block into the same buffers: the table is written into out, a uint64
-    array of its (hi - lo) // step + 1 entries, and the kernel takes its
-    scratch from the _Scratch scratch instead of a fresh one.
+    workers of search, which sieve every block into the same buffers: the
+    table is written into out, a uint64 array of its (hi - lo) // step + 1
+    entries, and the kernel takes its scratch from the _Scratch scratch
+    instead of a fresh one.
     """
     if lo < 1 or hi < lo:
         raise UsageError(f"need 1 <= lo <= hi, got lo={lo}, hi={hi}")
@@ -784,13 +783,21 @@ def largest_factor_table(limit: int) -> np.ndarray:
     """uint64 array t with t[n] = largest prime factor of n for 1 <= n <= limit.
 
     t[0] and t[1] are both 1 (index 0 is padding; the value at 1 is the
-    convention used throughout).  An output over _MEMORY_BUDGET bytes is
-    refused with CapacityError.
+    convention used throughout).  A call whose output, prime sieve and
+    primes come to over _MEMORY_BUDGET bytes is refused with CapacityError.
     """
     if limit < 1:
         raise UsageError(f"limit must be >= 1, got {limit}")
-    _check_bytes(8 * (limit + 1))
+    # the output, _simple_primes' (limit + 1)-byte mask and its int64 primes, at most
+    # 1.25506 * limit / ln(limit) of them (Rosser and Schoenfeld, Illinois J. Math. 6,
+    # 1962); the mask is freed before the output is made, and the primes become Python
+    # ints 256 at a time, so the peak stays under the sum
+    most = int(1.25506 * limit / log(limit)) + 1 if limit > 1 else 0
+    _check_bytes(9 * (limit + 1) + 8 * most)
+    primes = _simple_primes(limit)
     out = np.ones(limit + 1, dtype=np.uint64)
-    for p in _simple_primes(limit).tolist():
-        out[p::p] = p  # ascending primes: the last write wins
+    chunk = 1 << 8
+    for i in range(0, primes.size, chunk):
+        for p in primes[i : i + chunk].tolist():
+            out[p::p] = p  # ascending primes: the last write wins
     return out

@@ -15,8 +15,9 @@ from . import arith
 from .arith import Kind
 from .errors import CapacityError, UsageError
 
-# Most threads one block map may run.  The pool may start one thread per
-# block, and a request past this is a typo rather than a core count.
+# Most threads one call may ask for (_check_threads).  The block map's pool
+# may start one thread per block, and a request past this is a typo rather
+# than a core count.
 _MAX_THREADS = 256
 
 
@@ -60,6 +61,14 @@ def _first_valid_n(spec: EquationSpec) -> int:
     return lo
 
 
+def _check_threads(threads: int) -> None:
+    """Refuse, with UsageError, a thread count outside 1.._MAX_THREADS."""
+    if threads < 1:
+        raise UsageError("threads must be >= 1")
+    if threads > _MAX_THREADS:
+        raise UsageError(f"threads must be <= {_MAX_THREADS}, got {threads}")
+
+
 def _map_blocks(
     scan: Callable[[tuple[int, int], arith._Scratch], Sequence],
     lo: int,
@@ -77,10 +86,7 @@ def _map_blocks(
     """
     if hi - lo + 1 > arith._SIEVE_LIMIT:
         raise CapacityError(f"[{lo}, {hi}] spans more than {arith._SIEVE_LIMIT} integers")
-    if threads < 1:
-        raise UsageError("threads must be >= 1")
-    if threads > _MAX_THREADS:
-        raise UsageError(f"threads must be <= {_MAX_THREADS}, got {threads}")
+    _check_threads(threads)
     if span < 1:
         raise UsageError(f"block span must be >= 1, got {span}")
     blocks = [(u, min(hi, u + span - 1)) for u in range(lo, hi + 1, span)]

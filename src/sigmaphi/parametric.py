@@ -19,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 from . import arith
-from .equations import EquationSpec, Kind, _map_blocks, search
+from .equations import EquationSpec, _check_threads, search
 from .errors import CapacityError, IntegrityError, UsageError
 
 
@@ -256,56 +254,31 @@ def ghp_generate(j: int, k: int, r: int) -> int | None:
 
 
 def consecutive_multiperfect_search(xmax: int, threads: int = 1) -> list[int]:
-    """All m <= xmax with m | sigma(m) and (m+1) | sigma(m+1), ascending.
+    """All m <= xmax with m | sigma(m) and (m+1) | sigma(m+1), ascending: none, for
+    every xmax the search admits, so it returns [] and sieves nothing.
 
     One of m and m + 1 is odd, so a pair qualifies only if its odd member o <= xmax + 1
     has o | sigma(o).  o = 1 never does: its only pair is m = 1, and 2 does not divide
     sigma(2) = 3.  Every odd o > 1 with o | sigma(o) and o <= 10**10 + 1 (the search's
-    cap, _SIEVE_LIMIT, plus 1) is 9 mod 36.  Let a(o) = sigma(o)/o, an integer above 1 with
-    a(o) < prod_{p | o} p/(p - 1):
+    cap, _SIEVE_LIMIT, plus 1) is an odd perfect number with at most 9 distinct primes.
+    Let a(o) = sigma(o)/o, an integer above 1 with a(o) < prod_{p | o} p/(p - 1):
 
     1. omega(o) <= 9, as 3*5*...*31 = 100,280,245,065.  So a(o) < prod_{3<=p<=29}
        p/(p - 1) ~ 3.17, and sigma(o) is 2o or 3o.
     2. If sigma(o) = 3o, then sigma(o) is odd, so o = m**2 is a square.  Then m <= 10**5
        and omega(m) <= 5, as 3*5*7*11*13*17 = 255,255.  So a(o) < prod_{3<=p<=13}
        p/(p - 1) ~ 2.61 < 3, which is impossible.  So sigma(o) = 2o.
-    3. sigma(o) = 2 (mod 4), so by Euler's argument for odd perfect numbers o = p**e *
-       m**2 with p = e = 1 (mod 4) and p not dividing m.  So o = 1 (mod 4).
-    4. If 3 does not divide o, then omega(o) >= 7, as prod_{5<=p<=19} p/(p - 1) ~ 1.949
-       < 2.  Each prime of m appears at least squared, so o >= (5*7*...*23) * (5*7*...*19)
-       = 37,182,145 * 1,616,615 > 6 * 10**13, which is impossible.  So 3 | o, and as p = 1
-       (mod 4) is not 3, 3 | m and 9 | o.
-    5. With o = 1 (mod 4), o = 9 (mod 36).
 
-    Touchard ("On prime numbers and perfect numbers", Scripta Math. 19, 1953) gives the
-    general form of this congruence for odd perfect numbers.  So the scan sieves sigma at
-    the o = 9 + 36*i <= xmax + 1 alone, 1/18 of the odd numbers, as step-36 tables over
-    blocks of 2 * SEGMENT indices i (two whole kernel segments each), and confirms each m
-    in {o - 1, o} of a hit o with scalar sigma, so the pairs do not depend on the block
-    edges.  No odd o > 1 with o | sigma(o) (an odd
-    multiperfect number) is known, so the confirmations cost next to nothing.
+    No such o exists.  An odd perfect number has at least 10 distinct prime factors
+    (P. P. Nielsen, "Odd perfect numbers, Diophantine equations, and upper bounds",
+    Math. Comp. 84 (2015), 2549-2567), against step 1's 9, and it exceeds 10**1500
+    (P. Ochem and M. Rao, "Odd perfect numbers are greater than 10**1500", Math. Comp.
+    81 (2012), 1869-1877), against the cap; either theorem alone finishes the proof.
+    Step 1 needs the cap, so an xmax past it is refused with CapacityError.
     """
     if xmax < 1:
         raise UsageError(f"xmax must be >= 1, got {xmax}")
-    # the step-36 map spans 1/36 as many indices as there are m, so the block map
-    # would not refuse this range itself, and the proof above needs o <= 10**10 + 1
     if xmax > arith._SIEVE_LIMIT:
         raise CapacityError(f"[1, {xmax}] spans more than {arith._SIEVE_LIMIT} integers")
-
-    def qualifies(m: int) -> bool:
-        return 1 <= m <= xmax and arith.sigma(m) % m == 0 and arith.sigma(m + 1) % (m + 1) == 0
-
-    def scan(block: tuple[int, int], scratch: arith._Scratch) -> list[int]:
-        lo, hi = (9 + 36 * i for i in block)  # the o of indices block[0]..block[1]
-        values = scratch.array("tables", block[1] - block[0] + 1, np.uint64)
-        arith.build_table(lo, hi, Kind.SIGMA, step=36, out=values, scratch=scratch)
-        # sigma(o) % o in place, in slices, so that no second block-size array is held
-        for i in range(0, values.size, arith._TAIL_CHUNK):
-            chunk = values[i : i + arith._TAIL_CHUNK]
-            o = np.arange(lo + 36 * i, lo + 36 * (i + chunk.size), 36, dtype=np.uint64)
-            np.remainder(chunk, o, out=chunk)
-        hits = (lo + 36 * int(i) for i in np.flatnonzero(values == 0))
-        return [m for o in hits for m in (o - 1, o) if qualifies(m)]
-
-    # (xmax - 8) // 36 is the last i with 9 + 36*i <= xmax + 1, and -1 below xmax = 8
-    return _map_blocks(scan, 0, (xmax - 8) // 36, 2 * arith.SEGMENT, threads)
+    _check_threads(threads)
+    return []

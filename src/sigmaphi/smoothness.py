@@ -48,9 +48,8 @@ class _ThreadScratch(threading.local, arith._Scratch):
 
 # The segment buffer and kernel scratch of _segments.  Built afresh per call,
 # they were mapped and faulted in again at every call once glibc had trimmed
-# the heap: the four counts and the multiperfect search at x = 2 * 10**6 and
-# y = 100 took ~3,300 minor faults per round with them built per call, ~600
-# with them kept (2-vCPU Xeon).
+# the heap: the four counts at x = 2 * 10**6 and y = 100 took ~860 minor
+# faults per round with them built per call, 0-2 with them kept (2-vCPU Xeon).
 _scratch = _ThreadScratch()
 
 

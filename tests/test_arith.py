@@ -18,7 +18,6 @@ from sigmaphi import (
     UsageError,
     arith,
     build_table,
-    consecutive_multiperfect_search,
     factorize,
     is_prime,
     largest_factor_table,
@@ -388,22 +387,18 @@ def test_table_scratch_peak():
 
 
 def test_block_scratch_peak():
-    # a default unit-shift or multiperfect block is one 2**19-entry table, two
-    # whole kernel segments: 4 MiB plus the kernel's scratch, 6.66 MiB in all
-    # (blocks of 2**20 values of n, whose tables are 2**20 + h entries, read 10.66)
-    calls = {
-        "search": lambda x: search(EquationSpec(Kind.SIGMA, 1, 0, 1, 1), x),
-        "multiperfect": consecutive_multiperfect_search,
-    }
-    for name, call in calls.items():
-        call(100)
-        tracemalloc.start()
-        try:
-            call(2**21)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 7.5 * 2**20, name
+    # a default unit-shift block is one 2**19-entry table, two whole kernel
+    # segments: 4 MiB plus the kernel's scratch, 6.66 MiB in all (blocks of
+    # 2**20 values of n, whose tables are 2**20 + h entries, read 10.66)
+    spec = EquationSpec(Kind.SIGMA, 1, 0, 1, 1)
+    search(spec, 100)
+    tracemalloc.start()
+    try:
+        search(spec, 2**21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * 2**20
 
 
 # 49 shares factors with the wheel's period 88200 (see also PERIOD_STEPS)
@@ -498,6 +493,23 @@ def test_largest_factor_table():
     # small limits, whose last primes write only themselves, give the same prefix
     for limit in range(1, 65):
         assert largest_factor_table(limit).tolist() == lpf[: limit + 1].tolist()
+
+
+def test_largest_factor_table_peak(monkeypatch):
+    # the budget check charges what the call holds: the output, the prime sieve's mask
+    # and the primes, whose Python ints are made a few at a time
+    real, charged = arith._check_bytes, []
+    monkeypatch.setattr(arith, "_check_bytes", lambda n: charged.append(n) or real(n))
+    for limit in (2 * 10**5, 10**6):
+        largest_factor_table(100)
+        charged.clear()
+        tracemalloc.start()
+        try:
+            largest_factor_table(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(charged) == 1 and peak <= charged[0], limit
 
 
 def test_primes_upto():
@@ -639,20 +651,20 @@ def test_step_inverses_under_threads(monkeypatch):
 
 
 @pytest.mark.usefixtures("fresh_steps")
-def test_step_cache_holds_the_last_three_steps():
-    assert arith._step.cache_info().maxsize == 3
+def test_step_cache_holds_the_last_two_steps():
+    assert arith._step.cache_info().maxsize == 2
     built = {}
-    for step in (2, 3, 5, 3, 7, 11):
+    for step in (2, 3, 5, 3, 7):
         build_table(10**6 + 1, 10**6 + 200 * step, Kind.SIGMA, step=step)
-        assert arith._step.cache_info().currsize <= 3
+        assert arith._step.cache_info().currsize <= 2
         built.setdefault(step, weakref.ref(arith._step(step)))
-    # 3, 7 and 11 are kept: each is the object its walks built, and asking for it
+    # 3 and 7 are kept: each is the object its walks built, and asking for it
     # again is a hit that builds nothing
     info = arith._step.cache_info()
-    assert info.currsize == 3
-    kept = {step: arith._step(step) for step in (3, 7, 11)}
+    assert info.currsize == 2
+    kept = {step: arith._step(step) for step in (3, 7)}
     assert arith._step.cache_info().misses == info.misses
-    assert all(kept[step] is built[step]() for step in (3, 7, 11))
+    assert all(kept[step] is built[step]() for step in (3, 7))
     # the evicted steps are dropped, not held elsewhere
     gc.collect()
     assert built[2]() is None and built[5]() is None
@@ -660,7 +672,7 @@ def test_step_cache_holds_the_last_three_steps():
     info = arith._step.cache_info()
     build_table(10**6, 10**6 + 10**5, Kind.PHI)
     assert arith._step.cache_info() == info
-    assert all(arith._step(step) is kept[step] for step in (3, 7, 11))
+    assert all(arith._step(step) is kept[step] for step in (3, 7))
     # what a step holds: inverses for the primes its walks asked for, and one wheel period
     entry = kept[7]
     assert entry.inverses.size == arith._base_primes(isqrt(10**6 + 1400)).size

@@ -194,6 +194,14 @@ def test_multiperfect(capsys):
     assert out == "m\n"
 
 
+def test_multiperfect_at_the_cap(capsys):
+    # answered by proof, so the largest range it admits prints the header at once
+    start = time.perf_counter()
+    code, out, _ = invoke(["multiperfect", "--max", str(10**10), "--threads", "2"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out == "m\n"
+
+
 def test_bounds_row_and_domain(capsys):
     code, out, _ = invoke(["bounds", "--x", "1000000"], capsys)
     assert code == 0
@@ -285,6 +293,10 @@ def test_usage_errors_exit_1(capsys):
     code, _, err = invoke(["search", *EQ_PHI1, "--max", "10", "--threads", "1000000"], capsys)
     assert code == 1
     assert "threads must be <=" in err
+    # the multiperfect search sieves nothing, and still checks its threads
+    for threads in ("0", "257"):
+        code, out, err = invoke(["multiperfect", "--max", "10", "--threads", threads], capsys)
+        assert code == 1 and out == "" and "threads must be" in err
     # families scans on the caller's thread and takes no --threads
     code, out, err = invoke(["families", *EQ_SIGMA22, "--kmax", "10", "--threads", "2"], capsys)
     assert code == 1

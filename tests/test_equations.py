@@ -16,7 +16,6 @@ from sigmaphi import (
     Kind,
     UsageError,
     classify,
-    consecutive_multiperfect_search,
     count_sporadic,
     phi,
     search,
@@ -201,8 +200,7 @@ def test_default_blocks_at_the_halo_cutoff(h):
 
 def test_default_sizes_are_whole_segments(monkeypatch):
     # every default sieve size is stated in 2**18-entry kernel segments: the blocks of
-    # DEFAULT_SPANS and of other multipliers, max(2**18, 2**20 // max(a1, a2)) values of
-    # n, and the multiperfect scan's blocks of 2**19 indices
+    # DEFAULT_SPANS and of other multipliers, max(2**18, 2**20 // max(a1, a2)) values of n
     assert arith.SEGMENT == 2**18
     spans = []
 
@@ -211,15 +209,11 @@ def test_default_sizes_are_whole_segments(monkeypatch):
         return []
 
     monkeypatch.setattr(equations, "_map_blocks", map_blocks)
-    monkeypatch.setattr(parametric, "_map_blocks", map_blocks)
     sizes = {**DEFAULT_SPANS, (2, 1, 3, 1): 2**20 // 3, (5, 0, 4, 1): 2**18}
     for coeffs, span in sizes.items():
         spans.clear()
         search(EquationSpec(Kind.SIGMA, *coeffs), 10**6)
         assert spans == [span], coeffs
-    spans.clear()
-    consecutive_multiperfect_search(10**6)
-    assert spans == [2**19]
 
 
 def test_search_sieves_base_primes_once(monkeypatch):

@@ -1,8 +1,10 @@
 import dataclasses
+import time
 from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt, prod
 
+import numpy as np
 import pytest
 
 import brute
@@ -28,6 +30,7 @@ from sigmaphi import (
     sigma,
     verify_witness,
 )
+from sigmaphi.equations import _map_blocks
 
 SIGMA_PLUS_22 = EquationSpec(Kind.SIGMA, 1, 0, 1, 22)
 PHI_PLUS_2 = EquationSpec(Kind.PHI, 1, 0, 1, 2)
@@ -381,10 +384,68 @@ def test_multiperfect_search_small():
 def test_multiperfect_search_validation():
     with pytest.raises(UsageError):
         consecutive_multiperfect_search(0)
-    # refused up front by the search's own 10**10 limit: the odd-only map spans
-    # half as many indices, so the block map alone would not refuse it
+    for threads in (0, 257):
+        with pytest.raises(UsageError, match="threads"):
+            consecutive_multiperfect_search(100, threads=threads)
+    # refused up front by the search's own 10**10 limit, which its proof needs
+    with pytest.raises(CapacityError):
+        consecutive_multiperfect_search(10**10 + 1)
     with pytest.raises(CapacityError):
         consecutive_multiperfect_search((1 << 48) - 1)
+
+
+def test_multiperfect_search_at_the_cap():
+    # the answer is a theorem up to the cap, so the whole range costs no sieving
+    start = time.perf_counter()
+    assert consecutive_multiperfect_search(10**10, threads=2) == []
+    assert time.perf_counter() - start < 0.1
+
+
+def multiperfect_scan(xmax: int, threads: int = 1) -> list[int]:
+    """All m <= xmax with m | sigma(m) and (m+1) | sigma(m+1), ascending, by sieving: the
+    computational check of consecutive_multiperfect_search's proof, for xmax <= 10**10.
+
+    As that proof shows, a pair's odd member o <= xmax + 1 has o > 1 and sigma(o) = 2o.
+    Then o = 9 (mod 36):
+
+    3. sigma(o) = 2 (mod 4), so by Euler's argument for odd perfect numbers o = p**e *
+       m**2 with p = e = 1 (mod 4) and p not dividing m.  So o = 1 (mod 4).
+    4. If 3 does not divide o, then omega(o) >= 7, as prod_{5<=p<=19} p/(p - 1) ~ 1.949
+       < 2.  Each prime of m appears at least squared, so o >= (5*7*...*23) * (5*7*...*19)
+       = 37,182,145 * 1,616,615 > 6 * 10**13, which is impossible.  So 3 | o, and as p = 1
+       (mod 4) is not 3, 3 | m and 9 | o.
+    5. With o = 1 (mod 4), o = 9 (mod 36).
+
+    Touchard ("On prime numbers and perfect numbers", Scripta Math. 19, 1953) gives the
+    general form of this congruence for odd perfect numbers.  So the scan sieves sigma at
+    the o = 9 + 36*i <= xmax + 1 alone, 1/18 of the odd numbers, as step-36 tables over
+    blocks of 2 * SEGMENT indices i (two whole kernel segments each), and confirms each m
+    in {o - 1, o} of a hit o with scalar sigma, so the pairs do not depend on the block
+    edges.
+    """
+
+    def qualifies(m: int) -> bool:
+        return 1 <= m <= xmax and arith.sigma(m) % m == 0 and arith.sigma(m + 1) % (m + 1) == 0
+
+    def scan(block: tuple[int, int], scratch: arith._Scratch) -> list[int]:
+        lo, hi = (9 + 36 * i for i in block)  # the o of indices block[0]..block[1]
+        values = scratch.array("tables", block[1] - block[0] + 1, np.uint64)
+        arith.build_table(lo, hi, Kind.SIGMA, step=36, out=values, scratch=scratch)
+        # sigma(o) % o in place, in slices, so that no second block-size array is held
+        for i in range(0, values.size, arith._TAIL_CHUNK):
+            chunk = values[i : i + arith._TAIL_CHUNK]
+            o = np.arange(lo + 36 * i, lo + 36 * (i + chunk.size), 36, dtype=np.uint64)
+            np.remainder(chunk, o, out=chunk)
+        hits = (lo + 36 * int(i) for i in np.flatnonzero(values == 0))
+        return [m for o in hits for m in (o - 1, o) if qualifies(m)]
+
+    # (xmax - 8) // 36 is the last i with 9 + 36*i <= xmax + 1, and -1 below xmax = 8
+    return _map_blocks(scan, 0, (xmax - 8) // 36, 2 * arith.SEGMENT, threads)
+
+
+def test_multiperfect_scan_finds_none_to_1e8():
+    # the theorem, checked by sieving the 2,777,778 terms o = 9 (mod 36) up to 10**8 + 1
+    assert multiperfect_scan(10**8, threads=2) == []
 
 
 def test_multiperfect_search_blocks_match(monkeypatch):
@@ -393,18 +454,19 @@ def test_multiperfect_search_blocks_match(monkeypatch):
     for m in range(1, 2000):
         if brute.sigma(m) % m == 0 and brute.sigma(m + 1) % (m + 1) == 0:
             ms.append(m)
-    assert consecutive_multiperfect_search(1999) == ms
+    assert multiperfect_scan(1999) == ms == consecutive_multiperfect_search(1999)
     # 56 terms o = 9 (mod 36) in blocks of 4
     monkeypatch.setattr(arith, "SEGMENT", 2)
-    assert consecutive_multiperfect_search(1999, threads=3) == ms
+    assert multiperfect_scan(1999, threads=3) == ms
     # the perfect number 6: its odd neighbours 5 and 7 are not 9 mod 36, and the walk is empty
-    assert consecutive_multiperfect_search(6) == []
+    assert multiperfect_scan(6) == []
 
 
 def test_multiperfect_congruence_bounds():
-    # the constants of consecutive_multiperfect_search's proof that every odd o > 1 with
-    # o | sigma(o) and o <= _SIEVE_LIMIT + 1 is 9 mod 36, each pinned against that cap, so
-    # that raising the cap past the proof fails here
+    # the constants of the proofs of consecutive_multiperfect_search (steps 1 and 2) and
+    # multiperfect_scan (step 4) that every odd o > 1 with o | sigma(o) and
+    # o <= _SIEVE_LIMIT + 1 is an odd perfect number, 9 mod 36, with at most 9 primes,
+    # each pinned against that cap, so that raising the cap past the proof fails here
     top = arith._SIEVE_LIMIT + 1
 
     def primes(lo, hi):
@@ -413,7 +475,8 @@ def test_multiperfect_congruence_bounds():
     def abundancy_bound(ps):  # prod p/(p - 1), above sigma(o)/o when ps are o's primes
         return prod(Fraction(p, p - 1) for p in ps)
 
-    # 1. at most 9 odd primes, so sigma(o) is 2o or 3o
+    # 1. at most 9 odd primes, so sigma(o) is 2o or 3o, and no odd perfect number
+    # (Nielsen: at least 10 primes)
     assert prod(primes(3, 31)) == 100_280_245_065 > top
     assert abundancy_bound(primes(3, 29)) < 4
     # 2. a square o = m**2 has at most 5 primes, too few for sigma(o) = 3o
@@ -440,13 +503,13 @@ def test_multiperfect_search_matches_trial_division(threads, monkeypatch):
     for xmax in range(1, 301):
         if brute.sigma(xmax) % xmax == 0 and brute.sigma(xmax + 1) % (xmax + 1) == 0:
             expected.append(xmax)
-        assert consecutive_multiperfect_search(xmax, threads=threads) == expected, xmax
+        assert multiperfect_scan(xmax, threads=threads) == expected, xmax
         if xmax == 7:
             assert sieved == []
     assert sieved[-1] == (9, 297)
     monkeypatch.setattr(arith, "SEGMENT", 2)
     for xmax in range(1, 301):
-        assert consecutive_multiperfect_search(xmax, threads=threads) == expected, xmax
+        assert multiperfect_scan(xmax, threads=threads) == expected, xmax
     assert sorted(sieved[-3:]) == [(9, 117), (153, 261), (297, 297)]
 
 
@@ -489,11 +552,11 @@ def test_multiperfect_search_finds_planted_pairs(threads, monkeypatch):
 
     expected = [m for m in range(1, xmax + 1) if passes(m) and passes(m + 1)]
     assert expected == [last, first - 1]
-    assert consecutive_multiperfect_search(xmax, threads=threads) == expected
+    assert multiperfect_scan(xmax, threads=threads) == expected
 
 
 def test_block_map_validation_is_shared():
-    # search and the multiperfect search share one block map
+    # search and the multiperfect search share one threads check
     calls = {
         "search": partial(search, PHI_PLUS_2, 100),
         "multiperfect": partial(consecutive_multiperfect_search, 100),
